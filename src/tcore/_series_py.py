@@ -1,9 +1,9 @@
 """Pure-Python big-integer series kernels.
 
-These are the hot loops behind the exact counting routines.  A compiled
-Cython twin (``_series_cy``) with identical signatures is preferred at import
-time when available; this module is the fallback and the reference
-implementation.  All coefficients are exact Python ints.
+These are the hot loops behind the exact counting routines, and the only
+implementation of them: ``exact`` and ``verifier`` call them through
+``backend.kernels``.  They double as the reference that independent checkers
+recount against.  All coefficients are exact Python ints.
 """
 
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from scipy.integrate import quad
-
 from . import exact
 from .modular import eta_log_deriv, eta_quotient_log
 from .saddle import SaddleResult, kappa_constants, solve_saddle
@@ -298,6 +296,8 @@ def estimate(t: int, n: int, regime: str = "auto") -> CertifiedEstimate:
 
 
 # --- quadrature checks ----------------------------------------------------------
+# SciPy is imported inside the functions that use it: only these checks need
+# it, and loading it would be most of the cost of `import tcore`.
 
 @dataclass(frozen=True)
 class GaussianCheck:
@@ -308,6 +308,8 @@ class GaussianCheck:
 
 
 def _quad_complex(f, a, b, **kw) -> tuple:
+    from scipy.integrate import quad
+
     re, re_err = quad(lambda x: f(x).real, a, b, **kw)
     im, im_err = quad(lambda x: f(x).imag, a, b, **kw)
     return complex(re, im), re_err + im_err
@@ -371,6 +373,8 @@ def minor_arc_ratio(t: int, y: float) -> float:
         raise ValueError("supported band is 0.02 <= y <= 0.1")
     if t < 2:
         raise ValueError("t must be >= 2")
+    from scipy.integrate import quad
+
     log_center = eta_quotient_log(complex(0.0, y), t).real
 
     def rel_mag(x: float) -> float:
@@ -393,6 +397,8 @@ def central_arc_ratio(t: int, y: float) -> float:
     """Ratio of int_{|x| <= y/3} |f_t(x+iy)| dx to y * f_t(iy)."""
     if not 0.02 <= y <= 0.1:
         raise ValueError("supported band is 0.02 <= y <= 0.1")
+    from scipy.integrate import quad
+
     log_center = eta_quotient_log(complex(0.0, y), t).real
 
     def rel_mag(x: float) -> float:

@@ -1,22 +1,10 @@
-"""Kernel backend selection.
+"""The kernel binding the exact-counting modules call through.
 
-The compiled Cython kernels are used when the extension built; setting the
-environment variable TCORE_PURE_PYTHON=1 forces the pure-Python kernels
-(useful for benchmarking and debugging).
+There is one kernel implementation, ``_series_py``.  This module stays as a
+fixed binding because the public ``tcore.BACKEND`` string and external tracers
+(which wrap the functions of ``backend.kernels``) read it.
 """
 
-import os
+from . import _series_py as kernels
 
-from . import _series_py
-
-if os.environ.get("TCORE_PURE_PYTHON"):
-    kernels = _series_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _series_cy as kernels  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        kernels = _series_py
-        BACKEND = "python"
+BACKEND = "python"

@@ -11,6 +11,7 @@ factor against the dense partition series.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -33,18 +34,26 @@ class PartitionSeries:
 
 
 # Dense p(N) values, grown on demand and shared by every caller.  Replaced
-# wholesale (never mutated in place) so concurrent readers stay safe.
+# wholesale (never mutated in place) so concurrent readers stay safe, and only
+# ever by a longer list: the swap is made under _p_lock, while the series
+# itself is computed outside it.
 _p_values: list = [1]
+_p_lock = threading.Lock()
 
 
 def _partition_values(limit: int) -> list:
-    """Internal cached accessor for p(0..limit) as a plain list."""
+    """Internal cached accessor for p(0..limit) as a plain list (at least
+    limit + 1 entries; possibly more)."""
     global _p_values
     if limit >= PARTITION_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds cap {PARTITION_LIMIT_CAP}")
-    if limit >= len(_p_values):
-        _p_values = kernels.partition_series(max(limit, 2 * len(_p_values)))
-    return _p_values
+    values = _p_values
+    if limit >= len(values):
+        values = kernels.partition_series(max(limit, 2 * len(values)))
+        with _p_lock:
+            if len(values) > len(_p_values):
+                _p_values = values
+    return values
 
 
 def partition_numbers(limit: int) -> PartitionSeries:

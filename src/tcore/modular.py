@@ -14,6 +14,7 @@ accuracy targets the rest of the package relies on.
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -34,20 +35,30 @@ def e_of(z: complex) -> complex:
 # --- divisor sums -----------------------------------------------------------
 
 # sigma table, index n (entry 0 unused); replaced wholesale when grown so
-# concurrent readers always see a complete table.
+# concurrent readers always see a complete table, and only ever by a longer
+# one (the swap is made under _sigma_lock).
 _sigma_table: list = [0, 1]
+_sigma_lock = threading.Lock()
 
 
-def _grow_sigma(limit: int) -> list:
-    global _sigma_table
-    if limit < len(_sigma_table):
-        return _sigma_table
-    size = max(limit + 1, 2 * len(_sigma_table))
+def _sigma_sieve(size: int) -> list:
+    """sigma(0..size-1) by a divisor sieve (entry 0 is 0)."""
     table = [0] * size
     for d in range(1, size):
         for m in range(d, size, d):
             table[m] += d
-    _sigma_table = table
+    return table
+
+
+def _grow_sigma(limit: int) -> list:
+    global _sigma_table
+    table = _sigma_table
+    if limit < len(table):
+        return table
+    table = _sigma_sieve(max(limit + 1, 2 * len(table)))
+    with _sigma_lock:
+        if len(table) > len(_sigma_table):
+            _sigma_table = table
     return table
 
 

@@ -145,8 +145,8 @@ def solve_scaled_saddle(kappa: float) -> float:
     h is a decreasing bijection of (0, inf) onto (0, inf) shifted by 1/kappa,
     so an automatically expanded bracket plus bisection always lands.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
     lo = hi = 1.0
     for _ in range(200):
         if scale_residual(kappa, hi) < 0.0:

@@ -1,9 +1,13 @@
 """CLI surface tests: JSON-lines records, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tcore
 from tcore.cli import main
 
 
@@ -53,6 +57,16 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--t", "5", "--n", "10", "--regime", "bogus"])
     assert exc.value.code == 2
+    for argv in (
+        ["--kappa", "nan"],
+        ["--kappa", "inf"],
+        ["--kappa", "0"],
+        ["--kappa", "1", "--table", "1,nan"],
+        ["--kappa", "1", "--table", "1,inf"],
+    ):
+        code, recs = run_cli(capsys, "kappa", *argv)
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
 
 
 def test_saddle_record(capsys):
@@ -151,3 +165,15 @@ def test_selftest_quick(capsys):
     assert summary["result"]["failed"] == []
     check_lines = [r for r in recs if "check" in r]
     assert len(check_lines) == summary["result"]["checks"]
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(tcore.__file__))
+    code = (
+        "import sys, tcore, tcore.cli; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -101,6 +101,9 @@ def test_scaled_saddle_contract():
     for kappa in (1.0, 24.0, 1000.0):
         v = solve_scaled_saddle(kappa)
         assert abs(scale_residual(kappa, v)) < 1e-10
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_scaled_saddle(bad)
 
 
 def test_scaled_saddle_monotone():
