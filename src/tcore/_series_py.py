@@ -6,6 +6,9 @@ implementation of them: ``exact`` and ``verifier`` call them through
 recount against.  All coefficients are exact Python ints.
 """
 
+from itertools import repeat
+from operator import add, mul, sub
+
 
 def partition_series(limit):
     """p(0..limit) by Euler's pentagonal recurrence."""
@@ -67,24 +70,44 @@ def poly_mul_trunc(a, b, cap):
     return out
 
 
+def euler_step(f, cap):
+    """f * prod_{n>=1} (1 - x^n) truncated at degree cap.
+
+    The same list as poly_mul_trunc(f, euler_factor(cap), cap), but with no
+    multiplications: by the pentagonal number theorem the product is a signed
+    sum of about 2*sqrt(2*cap/3) shifted copies of f.  Stepping the t-th power
+    of the Euler product to the (t+1)-th this way is what lets a scan over
+    consecutive t power the inner factor only once.
+    """
+    out = f[: cap + 1]
+    out += [0] * (cap + 1 - len(out))
+    k = 1
+    while True:
+        g = k * (3 * k - 1) // 2  # generalized pentagonal numbers g, g + k
+        if g > cap:
+            break
+        op = sub if k & 1 else add
+        for h in (g, g + k):
+            if h <= cap:
+                m = min(cap + 1 - h, len(f))
+                out[h : h + m] = map(op, out[h : h + m], f[:m])
+        k += 1
+    return out
+
+
 def core_series_from_inner(inner, t, p, limit):
     """c_t(0..limit) from the stride-t inner factor and the p-series.
 
     inner[j] is the degree-j coefficient of the inner factor in x = q**t, so
-    c_t(N) = sum_j inner[j] * p(N - j*t).
+    c_t(N) = sum_j inner[j] * p(N - j*t).  The sum runs row by row: each
+    nonzero inner[j] adds inner[j] times the p-series, shifted by j*t, to the
+    whole output at once, so the builtins run the inner loop.
     """
     out = [0] * (limit + 1)
-    for n in range(limit + 1):
-        s = 0
-        jt = 0
-        j = 0
-        while jt <= n and j < len(inner):
-            cj = inner[j]
-            if cj:
-                s += cj * p[n - jt]
-            j += 1
-            jt += t
-        out[n] = s
+    for j, cj in enumerate(inner[: limit // t + 1]):
+        if cj:
+            jt = j * t
+            out[jt:] = map(add, out[jt:], map(mul, repeat(cj), p[: limit + 1 - jt]))
     return out
 
 

@@ -25,6 +25,10 @@ from .saddle import SaddleResult, kappa_constants, solve_saddle
 INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
 BIG_T_EPS = 0.5  # default margin in the big-t regime threshold
+# Largest n the big-t hybrid accepts: it grows the exact p-series to n, a
+# pure-Python bignum job of several seconds at this size that grows
+# superlinearly beyond it.
+BIG_T_MAX_N = 100_000
 
 
 class HypothesisError(ValueError):
@@ -214,6 +218,11 @@ def estimate_big_t(t: int, n: int, eps: float = BIG_T_EPS) -> CertifiedEstimate:
         raise ValueError("t must be >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > BIG_T_MAX_N:
+        raise ValueError(
+            f"n {n} exceeds the big-t hybrid cap {BIG_T_MAX_N}: the hybrid needs "
+            "exact p-values up to n, whose cost grows superlinearly in n"
+        )
     p = exact._partition_values(n)
     main = p[n] - (t * p[n - t] if n >= t else 0)
     residual = t * t * p[n - 2 * t] if n >= 2 * t else 0

@@ -2,8 +2,8 @@
 
 Every invocation emits line-delimited JSON records on stdout: exact integers
 as decimal strings, log-space values as floats rounded to 15 significant
-digits.  Exit codes: 0 ok, 2 usage, 3 solver failure, 4 hypothesis failure,
-5 verification violation.
+digits.  Exit codes: 0 ok, 2 usage, 3 solver or numeric failure, 4 hypothesis
+failure, 5 verification violation.
 """
 
 import argparse
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return opts.fn(opts)
     except SolverError as exc:
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "solver"}))
+        return EXIT_SOLVER
+    except RuntimeError as exc:  # e.g. a series that fails to converge
+        print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "numeric"}))
         return EXIT_SOLVER
     except HypothesisError as exc:
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "hypothesis"}))

@@ -11,6 +11,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
+from operator import ge
 from typing import Optional
 
 from . import exact
@@ -56,30 +58,33 @@ class VerificationReport:
         }
 
 
-def _series_values(t: int, limit: int, p: list) -> list:
-    inner = exact.core_inner_factor(t, limit // t)
-    return kernels.core_series_from_inner(inner, t, p, limit)
-
-
 def _scan_block(args) -> tuple:
-    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n."""
+    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n.
+
+    The inner factor is powered once, for t_lo, and stepped to each following
+    t by one Euler-product multiplication; its truncation cap max_n // t only
+    shrinks as t grows, so the stepped factor stays exact through it."""
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
     violations, equalities = [], []
     pairs = 0
-    prev = _series_values(t_lo, max_n, p)
+    inner = exact.core_inner_factor(t_lo, max_n // t_lo)
+    prev = kernels.core_series_from_inner(inner, t_lo, p, max_n)
     for t in range(t_lo, t_hi + 1):
-        nxt = _series_values(t + 1, max_n, p)
-        for n in range(t + 2, max_n + 1):
-            a = prev[n]
-            b = nxt[n]
-            if corrupt is not None and corrupt[0] == t and corrupt[1] == n:
-                a = b + 1
-            pairs += 1
-            if a > b:
-                violations.append((t, n))
-            elif a == b:
-                equalities.append((t, n))
+        inner = kernels.euler_step(inner, max_n // (t + 1))
+        nxt = kernels.core_series_from_inner(inner, t + 1, p, max_n)
+        a = prev[t + 2 :]
+        b = nxt[t + 2 :]
+        if corrupt is not None and corrupt[0] == t and t + 2 <= corrupt[1] <= max_n:
+            i = corrupt[1] - t - 2
+            a[i] = b[i] + 1
+        pairs += len(a)
+        if any(map(ge, a, b)):  # c_t(n) < c_{t+1}(n) almost everywhere
+            for n, x, y in zip(count(t + 2), a, b):
+                if x > y:
+                    violations.append((t, n))
+                elif x == y:
+                    equalities.append((t, n))
         prev = nxt
     return violations, equalities, pairs
 
@@ -132,7 +137,7 @@ def verify_exact(
             elapsed_s=time.monotonic() - started,
         )
     workers = workers or default_workers()
-    workers = max(1, min(workers, t_hi - 3))
+    workers = max(1, min(workers, t_hi - 3, os.cpu_count() or 1))
     blocks = _balanced_blocks(4, t_hi, workers * 4)
     tasks = [(lo, hi, max_n, _corrupt) for lo, hi in blocks]
     violations, equalities = [], []

@@ -104,6 +104,26 @@ def test_estimate_forced_hypothesis_failure_exit_4(capsys):
     assert recs[-1]["kind"] == "hypothesis"
 
 
+def test_estimate_big_t_beyond_cap_exit_2(capsys):
+    # auto-selects the big-t hybrid, whose exact p-series would need days
+    code, recs = run_cli(capsys, "estimate", "--t", "100000", "--n", "10000000")
+    assert code == 2
+    assert recs[-1]["kind"] == "usage"
+    assert "big-t hybrid cap" in recs[-1]["error"]
+
+
+def test_numeric_failure_exit_3(capsys, monkeypatch):
+    def diverges(t, n, regime="auto"):
+        raise RuntimeError("series truncation cap exceeded")
+
+    monkeypatch.setattr("tcore.cli.estimate", diverges)
+    code, recs = run_cli(capsys, "estimate", "--t", "1000", "--n", "60000")
+    assert code == 3
+    assert recs[-1] == {
+        "cmd": "estimate", "error": "series truncation cap exceeded", "kind": "numeric",
+    }
+
+
 def test_verify_stanton_clean(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, recs = run_cli(

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from tcore import exact
+from tcore.backend import kernels
 from tcore.modular import sigma
 
 
@@ -34,6 +35,24 @@ def inner_by_sigma_recurrence(t, cap):
         assert r == 0
         g.append(q)
     return g
+
+
+def core_series_n_major(inner, t, p, limit):
+    """c_t(0..limit) = sum_j inner[j] p(n - j t), one output n at a time: the
+    loop the row-wise core_series_from_inner replaced, kept as its reference."""
+    out = [0] * (limit + 1)
+    for n in range(limit + 1):
+        s = 0
+        jt = 0
+        j = 0
+        while jt <= n and j < len(inner):
+            cj = inner[j]
+            if cj:
+                s += cj * p[n - jt]
+            j += 1
+            jt += t
+        out[n] = s
+    return out
 
 
 # --- partition numbers ------------------------------------------------------------
@@ -125,6 +144,42 @@ def test_series_matches_single_point():
 def test_inner_factor_independent_recurrence():
     for t, cap in ((4, 30), (50, 20), (600, 16)):
         assert exact.core_inner_factor(t, cap) == inner_by_sigma_recurrence(t, cap)
+
+
+@pytest.mark.parametrize(
+    "inner,t,limit",
+    [
+        (exact.core_inner_factor(1, 60), 1, 60),
+        (exact.core_inner_factor(4, 150 // 4), 4, 150),
+        (exact.core_inner_factor(7, 150 // 7), 7, 150),
+        (exact.core_inner_factor(9, 5), 9, 150),  # shorter than limit // t + 1
+        (exact.core_inner_factor(200, 0), 200, 150),  # t > limit
+        (exact.core_inner_factor(200, 3), 200, 150),  # longer than needed
+        (exact.core_inner_factor(5, 0), 5, 0),  # limit = 0
+        ([0, 3, 0, 0, -2, 0, 7], 6, 150),  # zeros, including inner[0]
+        ([], 3, 20),
+    ],
+)
+def test_series_kernel_matches_references(inner, t, limit):
+    p = exact.partition_numbers(limit).values
+    series = kernels.core_series_from_inner(inner, t, p, limit)
+    assert series == core_series_n_major(inner, t, p, limit)
+    assert series == [kernels.core_single_from_inner(inner, t, p, n) for n in range(limit + 1)]
+
+
+@pytest.mark.parametrize("t,cap", [(1, 40), (4, 60), (13, 25), (300, 4), (6, 0)])
+def test_euler_step_raises_the_power(t, cap):
+    f = exact.core_inner_factor(t, cap)
+    for cap2 in range(cap + 1):
+        stepped = kernels.euler_step(f, cap2)
+        assert stepped == exact.core_inner_factor(t + 1, cap2)
+        assert stepped == inner_by_sigma_recurrence(t + 1, cap2)
+
+
+def test_euler_step_is_truncated_product():
+    e = kernels.euler_factor(30)
+    for f, cap in (([1], 30), ([2, 0, -1], 30), ([5, 4, 3, 2, 1], 2), ([7], 0)):
+        assert kernels.euler_step(f, cap) == kernels.poly_mul_trunc(f, e[: cap + 1], cap)
 
 
 def test_nonnegative_values():

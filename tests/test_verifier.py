@@ -1,11 +1,14 @@
 """Verifier tests: exhaustive scans at small scale, pair certificates, and
 interval containment plumbing."""
 
+import os
+
 import pytest
 
 from tcore import exact
 from tcore.asymptotics import HypothesisError
 from tcore.verifier import (
+    _balanced_blocks,
     certify_interval_containment,
     certify_pair,
     verify_exact,
@@ -47,17 +50,47 @@ def test_fault_injection_detected():
     assert report.violations == [(7, 30)]
 
 
+def test_fault_injection_at_scan_edges():
+    max_n = 120
+    blocks = _balanced_blocks(4, max_n - 2, 4)  # the blocks of a one-worker scan
+    first_hi, second_lo = blocks[0][1], blocks[1][0]
+    for t, n in ((4, 6), (30, 32), (9, max_n), (max_n - 2, max_n),
+                 (first_hi, 50), (second_lo, 50), (second_lo, second_lo + 2)):
+        report = verify_exact(max_n, workers=1, _corrupt=(t, n))
+        assert report.violations == [(t, n)]
+    # outside the compared pairs the fault touches nothing
+    for t, n in ((7, 8), (7, max_n + 1), (3, 10), (max_n - 1, max_n)):
+        assert verify_exact(max_n, workers=1, _corrupt=(t, n)).violations == []
+
+
+@pytest.mark.parametrize(
+    "max_n,max_t", [(5, None), (10, None), (57, None), (211, None), (211, 50), (90, 4)]
+)
+def test_pairs_checked_closed_form(max_n, max_t):
+    t_hi = max_n - 2 if max_t is None else min(max_n - 2, max_t)
+    report = verify_exact(max_n, max_t=max_t, workers=1)
+    assert report.pairs_checked == sum(max_n - t - 1 for t in range(4, t_hi + 1))
+
+
+def test_worker_count_bounded_by_cpus():
+    report = verify_exact(60, workers=100_000)
+    assert 1 <= report.workers <= (os.cpu_count() or 1)
+    assert report.violations == []
+    assert report.equalities == [(5, 10)]
+
+
 def test_resource_cap():
     with pytest.raises(ValueError):
         verify_exact(20_000)
 
 
 def test_deterministic_reports():
-    a = verify_exact(150, workers=2)
-    b = verify_exact(150, workers=1)
-    assert a.violations == b.violations
-    assert a.equalities == b.equalities
-    assert a.pairs_checked == b.pairs_checked
+    for max_n, corrupt in ((150, None), (400, None), (400, (117, 300))):
+        a = verify_exact(max_n, workers=2, _corrupt=corrupt)
+        b = verify_exact(max_n, workers=1, _corrupt=corrupt)
+        assert a.violations == b.violations
+        assert a.equalities == b.equalities
+        assert a.pairs_checked == b.pairs_checked
 
 
 def test_certify_pair_exact_equality():
