@@ -101,13 +101,19 @@ def core_series_from_inner(inner, t, p, limit):
     inner[j] is the degree-j coefficient of the inner factor in x = q**t, so
     c_t(N) = sum_j inner[j] * p(N - j*t).  The sum runs row by row: each
     nonzero inner[j] adds inner[j] times the p-series, shifted by j*t, to the
-    whole output at once, so the builtins run the inner loop.
+    whole output at once, so the builtins run the inner loop.  The first
+    nonzero row is written into the zero output rather than added to it,
+    which saves one big-integer addition per element of that row (row j = 1
+    in the monotonicity scan, which passes inner[0] = 0).
     """
     out = [0] * (limit + 1)
+    first = True
     for j, cj in enumerate(inner[: limit // t + 1]):
         if cj:
             jt = j * t
-            out[jt:] = map(add, out[jt:], map(mul, repeat(cj), p[: limit + 1 - jt]))
+            row = map(mul, repeat(cj), p[: limit + 1 - jt])
+            out[jt:] = row if first else map(add, out[jt:], row)
+            first = False
     return out
 
 

@@ -2,8 +2,8 @@
 
 Every invocation emits line-delimited JSON records on stdout: exact integers
 as decimal strings, log-space values as floats rounded to 15 significant
-digits.  Exit codes: 0 ok, 2 usage, 3 solver or numeric failure, 4 hypothesis
-failure, 5 verification violation.
+digits.  Exit codes: 0 ok, 2 usage, 3 solver, numeric or out-of-memory
+failure, 4 hypothesis failure, 5 verification violation.
 """
 
 import argparse
@@ -248,6 +248,10 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except RuntimeError as exc:  # e.g. a series that fails to converge
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "numeric"}))
+        return EXIT_SOLVER
+    except MemoryError as exc:  # an input whose exact series outgrows the host
+        error = str(exc) or "out of memory"
+        print(json.dumps({"cmd": opts.command, "error": error, "kind": "memory"}))
         return EXIT_SOLVER
     except HypothesisError as exc:
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "hypothesis"}))

@@ -63,16 +63,23 @@ def _scan_block(args) -> tuple:
 
     The inner factor is powered once, for t_lo, and stepped to each following
     t by one Euler-product multiplication; its truncation cap max_n // t only
-    shrinks as t grows, so the stepped factor stays exact through it."""
+    shrinks as t grows, so the stepped factor stays exact through it.
+
+    Every inner factor starts with inner[0] = 1, so c_t(n) = p(n) + r_t(n)
+    with r_t(n) = sum_{j>=1} inner[j] * p(n - j*t).  The p(n) term is the same
+    on both sides of every comparison, so the block compares r_t with r_{t+1}
+    and never computes the j = 0 row: the series are built from the inner
+    factor with its constant term zeroed.  Order and equality are those of
+    c_t and c_{t+1}."""
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
     violations, equalities = [], []
     pairs = 0
     inner = exact.core_inner_factor(t_lo, max_n // t_lo)
-    prev = kernels.core_series_from_inner(inner, t_lo, p, max_n)
+    prev = kernels.core_series_from_inner([0, *inner[1:]], t_lo, p, max_n)
     for t in range(t_lo, t_hi + 1):
         inner = kernels.euler_step(inner, max_n // (t + 1))
-        nxt = kernels.core_series_from_inner(inner, t + 1, p, max_n)
+        nxt = kernels.core_series_from_inner([0, *inner[1:]], t + 1, p, max_n)
         a = prev[t + 2 :]
         b = nxt[t + 2 :]
         if corrupt is not None and corrupt[0] == t and t + 2 <= corrupt[1] <= max_n:
@@ -89,11 +96,20 @@ def _scan_block(args) -> tuple:
     return violations, equalities, pairs
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    reports one (a `taskset`-restricted process gets fewer than the host
+    has), else the logical core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_workers() -> int:
     env = os.environ.get("TCORE_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _balanced_blocks(t_lo: int, t_hi: int, parts: int) -> list:
@@ -137,7 +153,7 @@ def verify_exact(
             elapsed_s=time.monotonic() - started,
         )
     workers = workers or default_workers()
-    workers = max(1, min(workers, t_hi - 3, os.cpu_count() or 1))
+    workers = max(1, min(workers, t_hi - 3, _usable_cpus()))
     blocks = _balanced_blocks(4, t_hi, workers * 4)
     tasks = [(lo, hi, max_n, _corrupt) for lo, hi in blocks]
     violations, equalities = [], []

@@ -124,6 +124,16 @@ def test_numeric_failure_exit_3(capsys, monkeypatch):
     }
 
 
+def test_memory_failure_exit_3(capsys, monkeypatch):
+    def exhausts(t, n):
+        raise MemoryError
+
+    monkeypatch.setattr("tcore.exact.tcore_count", exhausts)
+    code, recs = run_cli(capsys, "count", "--t", "5", "--n", "10")
+    assert code == 3
+    assert recs[-1] == {"cmd": "count", "error": "out of memory", "kind": "memory"}
+
+
 def test_verify_stanton_clean(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, recs = run_cli(

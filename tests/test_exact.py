@@ -158,6 +158,8 @@ def test_inner_factor_independent_recurrence():
         (exact.core_inner_factor(5, 0), 5, 0),  # limit = 0
         ([0, 3, 0, 0, -2, 0, 7], 6, 150),  # zeros, including inner[0]
         ([], 3, 20),
+        ([0, 0, 5, -1], 4, 60),  # first nonzero row at j = 2
+        ([0, 0, 0], 5, 40),  # all zero
     ],
 )
 def test_series_kernel_matches_references(inner, t, limit):
@@ -165,6 +167,17 @@ def test_series_kernel_matches_references(inner, t, limit):
     series = kernels.core_series_from_inner(inner, t, p, limit)
     assert series == core_series_n_major(inner, t, p, limit)
     assert series == [kernels.core_single_from_inner(inner, t, p, n) for n in range(limit + 1)]
+
+
+@pytest.mark.parametrize("t,limit", [(1, 40), (4, 150), (9, 150), (150, 150), (200, 150)])
+def test_series_without_constant_term_is_series_minus_p(t, limit):
+    # the monotonicity scan compares c_t - p: the series of the inner factor
+    # with inner[0] = 1 zeroed
+    p = exact.partition_numbers(limit).values
+    inner = exact.core_inner_factor(t, limit // t)
+    rest = kernels.core_series_from_inner([0, *inner[1:]], t, p, limit)
+    assert rest == [c - pn for c, pn in zip(exact.tcore_counts(t, limit).values, p)]
+    assert rest == core_series_n_major([0, *inner[1:]], t, p, limit)
 
 
 @pytest.mark.parametrize("t,cap", [(1, 40), (4, 60), (13, 25), (300, 4), (6, 0)])

@@ -79,6 +79,30 @@ def test_worker_count_bounded_by_cpus():
     assert report.equalities == [(5, 10)]
 
 
+def test_worker_count_bounded_by_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report = verify_exact(60, workers=2)
+    assert report.workers == 1
+    assert report.equalities == [(5, 10)]
+
+
+@pytest.mark.parametrize("max_n", [60, 150])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_matches_full_series_comparison(max_n, workers):
+    # reference: compare the full series c_t, c_{t+1} directly
+    violations, equalities = [], []
+    series = {t: exact.tcore_counts(t, max_n).values for t in range(4, max_n)}
+    for t in range(4, max_n - 1):
+        for n in range(t + 2, max_n + 1):
+            if series[t][n] > series[t + 1][n]:
+                violations.append((t, n))
+            elif series[t][n] == series[t + 1][n]:
+                equalities.append((t, n))
+    report = verify_exact(max_n, workers=workers)
+    assert report.violations == violations
+    assert report.equalities == equalities
+
+
 def test_resource_cap():
     with pytest.raises(ValueError):
         verify_exact(20_000)
