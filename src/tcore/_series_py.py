@@ -117,6 +117,31 @@ def core_series_from_inner(inner, t, p, limit):
     return out
 
 
+def core_series_packed(inner, t, q, width):
+    """sum_{j>=1} inner[j] * p(n - j*t) for every n, as one packed integer.
+
+    q packs the p-series in reverse, width bits per slot: slot k (bits
+    width*k and up) holds p(max_n - k).  Shifting q right by width*j*t moves
+    p(max_n - k - j*t) into slot k and drops the slots whose p index would be
+    negative, so no mask is needed.  The result therefore holds r(max_n - k)
+    in slot k, where r is the series of the inner factor with inner[0]
+    dropped: each nonzero row costs one shift, one big-by-small multiply and
+    one addition on the whole packed integer, and nothing is unpacked.
+
+    Slots are signed and borrow from one another, so the result is exact as
+    a polynomial in 2**width; the monotonicity scan reads it only after
+    adding a bias that makes every slot of a difference nonnegative.
+    """
+    out = 0
+    shift = 0
+    step = width * t
+    for cj in inner[1:]:
+        shift += step
+        if cj:
+            out += cj * (q >> shift)
+    return out
+
+
 def core_single_from_inner(inner, t, p, n):
     """c_t(n) alone: one sparse dot product against the p-series."""
     s = 0

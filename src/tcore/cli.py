@@ -7,6 +7,7 @@ failure, 4 hypothesis failure, 5 verification violation.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -54,6 +55,17 @@ def _emit(cmd: str, args: dict, result: dict, flags: dict, started: float) -> No
         "version": __version__,
     }
     print(json.dumps(record))
+
+
+def _open_output(path):
+    """The output file at path, opened for writing (a null context when no
+    path is given); an unwritable path is a usage error that names it."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_count(opts) -> int:
@@ -116,11 +128,11 @@ def _cmd_verify_stanton(opts) -> int:
     if opts.inject_fault:
         t_str, n_str = opts.inject_fault.split(",")
         corrupt = (int(t_str), int(n_str))
-    report = verify_exact(
-        opts.max_n, max_t=opts.max_t, workers=opts.threads, _corrupt=corrupt
-    )
-    if opts.report:
-        with open(opts.report, "w", encoding="utf-8") as fh:
+    with _open_output(opts.report) as fh:  # before the scan: a bad path costs nothing
+        report = verify_exact(
+            opts.max_n, max_t=opts.max_t, workers=opts.threads, _corrupt=corrupt
+        )
+        if fh is not None:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     result = {
@@ -149,7 +161,7 @@ def _cmd_kappa(opts) -> int:
         consts = kappa_constants(k)
         rows.append({"kappa": consts.kappa, "v": consts.v, "A": consts.A, "B": consts.B})
     if opts.csv:
-        with open(opts.csv, "w", encoding="utf-8") as fh:
+        with _open_output(opts.csv) as fh:
             fh.write("kappa,v,A,B\n")
             for row in rows:
                 fh.write(
@@ -219,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-t", type=_positive_int, default=None)
     p.add_argument("--report", default=None, help="write the full report as JSON")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker count (default: TCORE_THREADS or logical cores)")
+                   help="worker count (default: TCORE_THREADS, else the CPUs this "
+                        "process may run on)")
     p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify_stanton)
 

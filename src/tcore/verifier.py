@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from operator import ge
 from typing import Optional
 
 from . import exact
@@ -58,6 +57,31 @@ class VerificationReport:
         }
 
 
+_HIGH = bytes(range(0x80, 0x100))  # top bytes of slots with D(n) >= 0
+
+
+def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
+    """The largest n whose pair (t, t+1) the list walk must look at, or 0.
+
+    prev and nxt pack r_t and r_{t+1} in w-byte slots, slot k for
+    n = max_n - k, and bias holds 2**(8w-1) in each of those slots.  With
+    D(n) = r_{t+1}(n) - r_t(n) and |D(n)| < 2**(8w-1), the slots of
+    nxt - prev + bias are exactly D(n) + 2**(8w-1), with no carry between
+    them, so each pair is read from bytes without unpacking a value:
+    - a top byte below 0x80 is D(n) < 0, a violation; the walk then covers
+      every n up to max_n;
+    - a slot of bytes 00..00 80 is D(n) = 0, an equality.  With every top
+      byte at 0x80 or above, a match of that pattern can only start on a
+      slot boundary, so the first match is the largest equal n.
+    Only the first max_n - t - 1 slots, n = t+2..max_n, are read."""
+    end = (max_n - t - 1) * w
+    e = (nxt - prev + bias).to_bytes((max_n + 1) * w, "little")
+    if e[w - 1 : end : w].translate(None, _HIGH):
+        return max_n
+    k = e.find(b"\x00" * (w - 1) + b"\x80", 0, end)
+    return max_n - k // w if k >= 0 else 0
+
+
 def _scan_block(args) -> tuple:
     """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n.
 
@@ -68,31 +92,48 @@ def _scan_block(args) -> tuple:
     Every inner factor starts with inner[0] = 1, so c_t(n) = p(n) + r_t(n)
     with r_t(n) = sum_{j>=1} inner[j] * p(n - j*t).  The p(n) term is the same
     on both sides of every comparison, so the block compares r_t with r_{t+1}
-    and never computes the j = 0 row: the series are built from the inner
-    factor with its constant term zeroed.  Order and equality are those of
-    c_t and c_{t+1}."""
+    and never computes the j = 0 row.  Order and equality are those of c_t
+    and c_{t+1}.
+
+    Each r_t is one packed integer (``kernels.core_series_packed``): the
+    p-series is packed once per block in reverse, w bytes per slot, so slot k
+    holds p(max_n - k).  Both c_t(n) and c_{t+1}(n) lie in [0, p(n)], so
+    |r_{t+1}(n) - r_t(n)| <= p(max_n), and w = (bits of p(max_n) + 9) // 8
+    leaves at least two spare bits per slot for the sign and the bias that
+    ``_walk_limit`` adds.  A pair is then compared by reading the bytes of
+    one packed difference, never by unpacking a value.  The rare pairs it
+    flags (the equality (5, 10), any violation, a fault-injection target)
+    are walked as lists from ``core_series_from_inner``, which report them."""
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
+    w = (p[max_n].bit_length() + 9) // 8
+    width = 8 * w
+    q = int.from_bytes(b"".join(v.to_bytes(w, "big") for v in p), "big")
+    bias = int.from_bytes(b"\x80".ljust(w, b"\x00") * (max_n + 1), "big")
     violations, equalities = [], []
     pairs = 0
     inner = exact.core_inner_factor(t_lo, max_n // t_lo)
-    prev = kernels.core_series_from_inner([0, *inner[1:]], t_lo, p, max_n)
+    prev = kernels.core_series_packed(inner, t_lo, q, width)
     for t in range(t_lo, t_hi + 1):
-        inner = kernels.euler_step(inner, max_n // (t + 1))
-        nxt = kernels.core_series_from_inner([0, *inner[1:]], t + 1, p, max_n)
-        a = prev[t + 2 :]
-        b = nxt[t + 2 :]
-        if corrupt is not None and corrupt[0] == t and t + 2 <= corrupt[1] <= max_n:
-            i = corrupt[1] - t - 2
-            a[i] = b[i] + 1
-        pairs += len(a)
-        if any(map(ge, a, b)):  # c_t(n) < c_{t+1}(n) almost everywhere
+        step = kernels.euler_step(inner, max_n // (t + 1))
+        nxt = kernels.core_series_packed(step, t + 1, q, width)
+        pairs += max_n - t - 1
+        limit = _walk_limit(prev, nxt, bias, w, t, max_n)
+        hit = corrupt is not None and corrupt[0] == t and t + 2 <= corrupt[1] <= max_n
+        if hit:
+            limit = max(limit, corrupt[1])
+        if limit:
+            a = kernels.core_series_from_inner([0, *inner[1:]], t, p, limit)[t + 2 :]
+            b = kernels.core_series_from_inner([0, *step[1:]], t + 1, p, limit)[t + 2 :]
+            if hit:
+                i = corrupt[1] - t - 2
+                a[i] = b[i] + 1
             for n, x, y in zip(count(t + 2), a, b):
                 if x > y:
                     violations.append((t, n))
                 elif x == y:
                     equalities.append((t, n))
-        prev = nxt
+        inner, prev = step, nxt
     return violations, equalities, pairs
 
 
@@ -106,10 +147,17 @@ def _usable_cpus() -> int:
 
 
 def default_workers() -> int:
+    """TCORE_THREADS when set (a positive integer), else the usable CPUs."""
     env = os.environ.get("TCORE_THREADS")
-    if env:
-        return max(1, int(env))
-    return _usable_cpus()
+    if not env:
+        return _usable_cpus()
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TCORE_THREADS must be a positive integer, not {env!r}")
+    return workers
 
 
 def _balanced_blocks(t_lo: int, t_hi: int, parts: int) -> list:

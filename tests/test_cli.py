@@ -156,6 +156,32 @@ def test_verify_stanton_fault_exit_5(capsys):
     assert recs[-1]["result"]["violations"] == [[6, 20]]
 
 
+def test_unwritable_output_path_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing" / "out"
+    for argv in (
+        ["verify-stanton", "--max-n", "40", "--threads", "1", "--report", f"{missing}.json"],
+        ["kappa", "--kappa", "1", "--table", "1,24", "--csv", f"{missing}.csv"],
+        ["kappa", "--kappa", "1", "--csv", str(tmp_path)],  # a directory
+    ):
+        code, recs = run_cli(capsys, *argv)
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
+        assert argv[-1] in recs[-1]["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["abc", "-4", "0", "2.5"])
+def test_malformed_thread_env_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("TCORE_THREADS", value)
+    code, recs = run_cli(capsys, "verify-stanton", "--max-n", "40")
+    assert code == 2
+    assert recs[-1]["kind"] == "usage"
+    assert "TCORE_THREADS" in recs[-1]["error"]
+    # an explicit --threads never reads the variable
+    code, recs = run_cli(capsys, "verify-stanton", "--max-n", "40", "--threads", "1")
+    assert code == 0
+
+
 def test_kappa_command(capsys):
     code, recs = run_cli(capsys, "kappa", "--kappa", "1e6")
     assert code == 0

@@ -180,6 +180,39 @@ def test_series_without_constant_term_is_series_minus_p(t, limit):
     assert rest == core_series_n_major([0, *inner[1:]], t, p, limit)
 
 
+def unpack_signed(x, width, slots):
+    """Slot values of a packed integer, slot 0 first, each read as a signed
+    value in [-2**(width-1), 2**(width-1)); asserts nothing lies above them."""
+    half = 1 << (width - 1)
+    y = x + sum(half << (width * k) for k in range(slots))
+    assert 0 <= y < 1 << (width * slots)
+    mask = (1 << width) - 1
+    return [((y >> (width * k)) & mask) - half for k in range(slots)]
+
+
+PACKED_INNERS = (
+    "real",  # the t-core inner factor itself
+    [1, 0, -3, 0, 0, 2**70 + 1, -(2**65), 0, 5],  # zeros, negatives, > 2**64
+    [9, 0, 0, 0, -1],  # first nonzero row late; inner[0] is never read
+    [0],
+    [],
+)
+
+
+@pytest.mark.parametrize("inner", PACKED_INNERS, ids=["real", "mixed", "late", "zero", "empty"])
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 50])
+def test_packed_series_decodes_to_list_series(t, inner):
+    for limit in sorted({0, 1, t - 1, t, 3 * t + 1, 200}):
+        p = exact.partition_numbers(limit).values
+        coeffs = exact.core_inner_factor(t, limit // t) if inner == "real" else inner
+        expected = kernels.core_series_from_inner([0, *coeffs[1:]], t, p, limit)
+        bits = max(abs(v) for v in [*expected, p[limit]]).bit_length()
+        width = 8 * ((bits + 9) // 8)
+        q = sum(pm << (width * (limit - m)) for m, pm in enumerate(p))  # slot k: p(limit - k)
+        packed = kernels.core_series_packed(coeffs, t, q, width)
+        assert unpack_signed(packed, width, limit + 1)[::-1] == expected
+
+
 @pytest.mark.parametrize("t,cap", [(1, 40), (4, 60), (13, 25), (300, 4), (6, 0)])
 def test_euler_step_raises_the_power(t, cap):
     f = exact.core_inner_factor(t, cap)

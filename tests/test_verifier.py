@@ -2,6 +2,7 @@
 interval containment plumbing."""
 
 import os
+from functools import lru_cache
 
 import pytest
 
@@ -9,8 +10,10 @@ from tcore import exact
 from tcore.asymptotics import HypothesisError
 from tcore.verifier import (
     _balanced_blocks,
+    _walk_limit,
     certify_interval_containment,
     certify_pair,
+    default_workers,
     verify_exact,
 )
 
@@ -86,21 +89,107 @@ def test_worker_count_bounded_by_affinity(monkeypatch):
     assert report.equalities == [(5, 10)]
 
 
-@pytest.mark.parametrize("max_n", [60, 150])
+def slot_bytes(max_n):
+    """Bytes per slot of the scan's packed series at max_n."""
+    return (exact.partition_numbers(max_n).values[max_n].bit_length() + 9) // 8
+
+
+# every max_n to 40 (slots of 1 to 3 bytes), and both sides of each change of
+# slot width up to 400
+WIDTH_CHANGES = [n for n in range(1, 401) if slot_bytes(n) != slot_bytes(n - 1)]
+SCAN_SIZES = sorted({*range(41), *WIDTH_CHANGES, *(n - 1 for n in WIDTH_CHANGES), 60, 150})
+
+
+@lru_cache(maxsize=None)
+def full_series_comparison(top):
+    """(t, n, sign of c_t(n) - c_{t+1}(n)) for 4 <= t, t+2 <= n <= top,
+    from the full series compared value by value."""
+    series = {t: exact.tcore_counts(t, top).values for t in range(4, top)}
+    return [
+        (t, n, (series[t][n] > series[t + 1][n]) - (series[t][n] < series[t + 1][n]))
+        for t in range(4, top - 1)
+        for n in range(t + 2, top + 1)
+    ]
+
+
+@pytest.mark.parametrize("max_n", SCAN_SIZES)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_matches_full_series_comparison(max_n, workers):
-    # reference: compare the full series c_t, c_{t+1} directly
-    violations, equalities = [], []
-    series = {t: exact.tcore_counts(t, max_n).values for t in range(4, max_n)}
-    for t in range(4, max_n - 1):
-        for n in range(t + 2, max_n + 1):
-            if series[t][n] > series[t + 1][n]:
-                violations.append((t, n))
-            elif series[t][n] == series[t + 1][n]:
-                equalities.append((t, n))
+    reference = [(t, n, s) for t, n, s in full_series_comparison(max(SCAN_SIZES)) if n <= max_n]
     report = verify_exact(max_n, workers=workers)
-    assert report.violations == violations
-    assert report.equalities == equalities
+    assert report.violations == [(t, n) for t, n, s in reference if s > 0]
+    assert report.equalities == [(t, n) for t, n, s in reference if s == 0]
+    assert report.pairs_checked == len(reference)
+
+
+def test_scan_sizes_cover_slot_widths_one_to_nine():
+    assert slot_bytes(11) == 1 and slot_bytes(12) == 2
+    assert [slot_bytes(n) for n in WIDTH_CHANGES] == list(range(2, 10))
+
+
+def pack(values, w):
+    """values[0..max_n] packed as the scan packs a series: slot k (w bytes)
+    holds values[max_n - k]; values may be negative."""
+    top = len(values) - 1
+    return sum(v << (8 * w * (top - n)) for n, v in enumerate(values))
+
+
+def packed_pair(max_n, diffs, base=None):
+    """(prev, nxt, bias, w) for a synthetic pair with D(n) = diffs.get(n, 1)."""
+    w = slot_bytes(max_n)
+    base = base or [(-1) ** n * (n * 7 % 23) for n in range(max_n + 1)]
+    nxt = [b + diffs.get(n, 1) for n, b in enumerate(base)]
+    bias = pack([1 << (8 * w - 1)] * (max_n + 1), w)
+    return pack(base, w), pack(nxt, w), bias, w
+
+
+@pytest.mark.parametrize("max_n,t", [(9, 4), (30, 4), (30, 20), (400, 7), (400, 396)])
+def test_walk_limit_reads_packed_pairs(max_n, t):
+    p_top = exact.partition_numbers(max_n).values[max_n]
+    lo, mid = t + 2, (t + 2 + max_n) // 2
+
+    def limit(diffs, base=None):
+        prev, nxt, bias, w = packed_pair(max_n, diffs, base)
+        return _walk_limit(prev, nxt, bias, w, t, max_n)
+
+    assert limit({}) == 0
+    assert limit({n: p_top for n in range(max_n + 1)}) == 0
+    # D(n) = 0 is an equality: the walk covers up to the largest one
+    for n in (lo, mid, max_n):
+        assert limit({n: 0}) == n
+        assert limit({n: 0}, base=[p_top] * (max_n + 1)) == n
+        assert limit({n: 0}, base=[-p_top] * (max_n + 1)) == n
+    assert limit({lo: 0, mid: 0}) == mid
+    # D(n) < 0 is a violation: the walk covers everything
+    for n in (lo, mid, max_n):
+        for d in (-1, -p_top):
+            assert limit({n: d}) == max_n
+            assert limit({lo: 0, mid: 0, n: d}) == max_n
+    # n <= t+1 is outside the compared pairs
+    assert limit({t + 1: 0, t: -1, 0: -p_top}) == 0
+
+
+def test_walk_limit_ignores_unaligned_zero_slot():
+    # a violation slot of all zero bytes (D = -2**15 in a 2-byte slot) below a
+    # slot whose low byte is 0x80 holds the bytes 00 80 across the slot
+    # boundary: it must read as a violation, not as an equality at n = 20
+    max_n, t = 30, 4
+    prev, nxt, bias, w = packed_pair(max_n, {20: -(2**15), 21: 0x80})
+    assert w == 2
+    e = (nxt - prev + bias).to_bytes((max_n + 1) * w, "little")
+    assert e.find(b"\x00\x80") % w == 1
+    assert _walk_limit(prev, nxt, bias, w, t, max_n) == max_n
+
+
+def test_thread_env_sets_default_workers(monkeypatch):
+    monkeypatch.setenv("TCORE_THREADS", "3")
+    assert default_workers() == 3
+    monkeypatch.setenv("TCORE_THREADS", "")
+    assert default_workers() >= 1  # empty counts as unset
+    for value in ("abc", "-4", "0", "1e3", " "):
+        monkeypatch.setenv("TCORE_THREADS", value)
+        with pytest.raises(ValueError, match="TCORE_THREADS"):
+            default_workers()
 
 
 def test_resource_cap():
