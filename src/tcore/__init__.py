@@ -48,10 +48,8 @@ from .asymptotics import (
     estimate_kappa,
     estimate_main,
     estimate_small_t,
-    gaussian_integral_check,
     log_gamma,
     log_interval,
-    minor_arc_ratio,
     select_regime,
 )
 from .verifier import (
@@ -86,13 +84,11 @@ __all__ = [
     "eta_log_deriv_prime",
     "eta_quotient_log",
     "expansion_polynomials",
-    "gaussian_integral_check",
     "hook_lengths",
     "kappa_constants",
     "log_gamma",
     "log_interval",
     "log_of_integer",
-    "minor_arc_ratio",
     "partition_numbers",
     "quotient_step_log",
     "select_regime",

@@ -13,13 +13,12 @@ log space because the main terms overflow doubles long before the scales of
 interest.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exact
-from .modular import eta_log_deriv, eta_quotient_log
+from .modular import eta_quotient_log
 from .saddle import SaddleResult, kappa_constants, solve_saddle
 
 INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
@@ -302,124 +301,3 @@ def estimate(t: int, n: int, regime: str = "auto") -> CertifiedEstimate:
     if regime not in _ESTIMATORS:
         raise ValueError(f"unknown regime {regime!r}")
     return _ESTIMATORS[regime](t, n)
-
-
-# --- quadrature checks ----------------------------------------------------------
-# SciPy is imported inside the functions that use it: only these checks need
-# it, and loading it would be most of the cost of `import tcore`.
-
-@dataclass(frozen=True)
-class GaussianCheck:
-    i_value: complex
-    j_value: complex
-    bounds_ok: bool
-    quad_error: float
-
-
-def _quad_complex(f, a, b, **kw) -> tuple:
-    from scipy.integrate import quad
-
-    re, re_err = quad(lambda x: f(x).real, a, b, **kw)
-    im, im_err = quad(lambda x: f(x).imag, a, b, **kw)
-    return complex(re, im), re_err + im_err
-
-
-def gaussian_integral_check(
-    curvature: float, drift: float, skew: float, err_factor: complex
-) -> GaussianCheck:
-    """Quadrature check of the truncated-Gaussian bounds: for curvature > 38,
-    |drift| < 2/25, |skew| < 1 and any unit-disc err_factor,
-
-        I = int_{-1/3}^{1/3} e(drift x) exp(-pi a x^2 (1 + 2i skew x
-            + err_factor 3 x^2)) dx         satisfies |I - a^-1/2| <= 3.45 a^-3/2,
-        J = the same integral with an extra factor x    satisfies |J| <= 2 a^-3/2.
-    """
-    if not curvature > 38.0:
-        raise ValueError("requires curvature > 38")
-    if not abs(drift) < 2.0 / 25.0:
-        raise ValueError("requires |drift| < 2/25")
-    if not abs(skew) < 1.0:
-        raise ValueError("requires |skew| < 1")
-    if abs(err_factor) > 1.0 + 1e-12:
-        raise ValueError("requires |err_factor| <= 1")
-
-    a = curvature
-
-    def core(x: float) -> complex:
-        poly = 1.0 + 2j * skew * x + err_factor * 3.0 * x * x
-        return cmath.exp(2j * math.pi * drift * x - math.pi * a * x * x * poly)
-
-    kw = dict(epsabs=1e-14, epsrel=1e-12, limit=200, points=[0.0])
-    i_value, i_err = _quad_complex(core, -1.0 / 3.0, 1.0 / 3.0, **kw)
-    j_value, j_err = _quad_complex(lambda x: x * core(x), -1.0 / 3.0, 1.0 / 3.0, **kw)
-    tol = 1e-12 + i_err + j_err
-    ok_i = abs(i_value - a**-0.5) <= 3.45 * a**-1.5 + tol
-    ok_j = abs(j_value) <= 2.0 * a**-1.5 + tol
-    return GaussianCheck(
-        i_value=i_value,
-        j_value=j_value,
-        bounds_ok=ok_i and ok_j,
-        quad_error=i_err + j_err,
-    )
-
-
-def _rational_breakpoints(lo: float, hi: float, qmax: int = 12) -> list:
-    """Low-denominator rationals in (lo, hi): the eta quotient peaks there."""
-    pts = set()
-    for q in range(2, qmax + 1):
-        for p in range(1, q):
-            x = p / q
-            if lo < x < hi:
-                pts.add(x)
-    return sorted(pts)
-
-
-def minor_arc_ratio(t: int, y: float) -> float:
-    """Ratio of the minor-arc mass int_{y/3 <= |x| <= 1/2} |f_t(x+iy)| dx to
-    y * f_t(iy), where f_t is the t-core eta quotient.  Direct-product
-    evaluation needs y in [0.02, 0.1]."""
-    if not 0.02 <= y <= 0.1:
-        raise ValueError("supported band is 0.02 <= y <= 0.1")
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    from scipy.integrate import quad
-
-    log_center = eta_quotient_log(complex(0.0, y), t).real
-
-    def rel_mag(x: float) -> float:
-        return math.exp(eta_quotient_log(complex(x, y), t).real - log_center)
-
-    lo, hi = y / 3.0, 0.5
-    integral, _ = quad(
-        rel_mag,
-        lo,
-        hi,
-        epsrel=1e-6,
-        epsabs=0.0,
-        limit=800,
-        points=_rational_breakpoints(lo, hi),
-    )
-    return 2.0 * integral / y
-
-
-def central_arc_ratio(t: int, y: float) -> float:
-    """Ratio of int_{|x| <= y/3} |f_t(x+iy)| dx to y * f_t(iy)."""
-    if not 0.02 <= y <= 0.1:
-        raise ValueError("supported band is 0.02 <= y <= 0.1")
-    from scipy.integrate import quad
-
-    log_center = eta_quotient_log(complex(0.0, y), t).real
-
-    def rel_mag(x: float) -> float:
-        return math.exp(eta_quotient_log(complex(x, y), t).real - log_center)
-
-    integral, _ = quad(rel_mag, 0.0, y / 3.0, epsrel=1e-9, limit=200)
-    return 2.0 * integral / y
-
-
-def curvature_on_axis(t: int, y: float) -> float:
-    """(D_2(iy) - D_2(ity)) / y: the Gaussian concentration scale at (t, y)."""
-    return (
-        eta_log_deriv(2, complex(0.0, y)).real
-        - eta_log_deriv(2, complex(0.0, t * y)).real
-    ) / y

@@ -3,7 +3,8 @@
 Every invocation emits line-delimited JSON records on stdout: exact integers
 as decimal strings, log-space values as floats rounded to 15 significant
 digits.  Exit codes: 0 ok, 2 usage, 3 solver, numeric or out-of-memory
-failure, 4 hypothesis failure, 5 verification violation.
+failure, 4 hypothesis failure, 5 verification violation or failed self-test
+check.
 """
 
 import argparse
@@ -185,7 +186,7 @@ def _cmd_selftest(opts) -> int:
     result = {"checks": len(results), "failed": failed}
     flags = {"ok": not failed}
     _emit("selftest", {"level": opts.level}, result, flags, started)
-    return EXIT_OK if not failed else 1
+    return EXIT_OK if not failed else EXIT_VIOLATION
 
 
 def _positive_int(value: str) -> int:

@@ -5,20 +5,18 @@ Each check pins one of the analytic facts the certified estimators lean on
 Gaussian-integral bounds, the adjacent-t step bounds) at fixed numeric
 instantiations.  'quick' runs everything that finishes in seconds; 'full'
 adds the exact-count interval containments, which cost minutes.
+
+The Gaussian and arc integrals the checks evaluate, and the adaptive
+Gauss-Kronrod quadrature behind them, live here: no query needs them.
 """
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .asymptotics import (
-    central_arc_ratio,
-    curvature_on_axis,
-    gaussian_integral_check,
-    minor_arc_ratio,
-)
 from .modular import (
     e_of,
     eta_log,
@@ -48,6 +46,174 @@ class CheckResult:
 def _logspace(lo: float, hi: float, num: int) -> list:
     step = (math.log(hi) - math.log(lo)) / (num - 1)
     return [math.exp(math.log(lo) + i * step) for i in range(num)]
+
+
+# --- adaptive Gauss-Kronrod quadrature ------------------------------------------
+# The 15-point Kronrod rule and its embedded 7-point Gauss rule, from QUADPACK's
+# qk15 table rounded to doubles: (node x > 0, Kronrod weight, Gauss weight) for
+# the symmetric pairs +-x, where a Gauss weight of 0 marks a Kronrod-only node,
+# then the weights of the center node.
+
+_GK15_PAIRS = (
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+)
+_GK15_CENTER = (0.20948214108472782, 0.4179591836734694)
+
+
+def _gk15(f, lo: float, hi: float) -> tuple:
+    """Kronrod estimate of int_lo^hi f and its distance |K15 - G7| from the
+    Gauss estimate, from 15 evaluations of f."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    mid = f(center)
+    kronrod = _GK15_CENTER[0] * mid
+    gauss = _GK15_CENTER[1] * mid
+    for x, k_weight, g_weight in _GK15_PAIRS:
+        pair = f(center - half * x) + f(center + half * x)
+        kronrod += k_weight * pair
+        gauss += g_weight * pair
+    return kronrod * half, abs(kronrod - gauss) * half
+
+
+def _quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int, points=()) -> tuple:
+    """Adaptive Gauss-Kronrod 7/15 quadrature of a real or complex f over
+    [a, b], returning (integral, error estimate).
+
+    The first panels are split at the interior break points; then the panel
+    with the largest |K15 - G7| is halved until the summed |K15 - G7| is at
+    most max(epsabs, epsrel |integral|).  Raises RuntimeError when that
+    would take more than limit panels."""
+    edges = [a, *sorted(p for p in points if a < p < b), b]
+    fresh = zip(edges, edges[1:])
+    panels = []  # heap of (-error, lo, hi, value): the worst panel first
+    while True:
+        for lo, hi in fresh:
+            value, err = _gk15(f, lo, hi)
+            heapq.heappush(panels, (-err, lo, hi, value))
+        total = sum(p[3] for p in panels)
+        error = -sum(p[0] for p in panels)
+        if error <= max(epsabs, epsrel * abs(total)):
+            return total, error
+        if len(panels) >= limit:
+            raise RuntimeError(
+                f"quadrature over [{a}, {b}] did not converge within {limit} panels "
+                f"(error estimate {error:.3e})"
+            )
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        fresh = ((lo, mid), (mid, hi))
+
+
+# --- the integrals and scales the checks pin --------------------------------------
+
+@dataclass(frozen=True)
+class GaussianCheck:
+    i_value: complex
+    j_value: complex
+    bounds_ok: bool
+    quad_error: float
+
+
+def gaussian_integral_check(
+    curvature: float, drift: float, skew: float, err_factor: complex
+) -> GaussianCheck:
+    """Quadrature check of the truncated-Gaussian bounds: for curvature > 38,
+    |drift| < 2/25, |skew| < 1 and any unit-disc err_factor,
+
+        I = int_{-1/3}^{1/3} e(drift x) exp(-pi a x^2 (1 + 2i skew x
+            + err_factor 3 x^2)) dx         satisfies |I - a^-1/2| <= 3.45 a^-3/2,
+        J = the same integral with an extra factor x    satisfies |J| <= 2 a^-3/2.
+    """
+    if not curvature > 38.0:
+        raise ValueError("requires curvature > 38")
+    if not abs(drift) < 2.0 / 25.0:
+        raise ValueError("requires |drift| < 2/25")
+    if not abs(skew) < 1.0:
+        raise ValueError("requires |skew| < 1")
+    if abs(err_factor) > 1.0 + 1e-12:
+        raise ValueError("requires |err_factor| <= 1")
+
+    a = curvature
+
+    def core(x: float) -> complex:
+        poly = 1.0 + 2j * skew * x + err_factor * 3.0 * x * x
+        return cmath.exp(2j * math.pi * drift * x - math.pi * a * x * x * poly)
+
+    kw = dict(epsabs=1e-14, epsrel=1e-12, limit=200, points=[0.0])
+    i_value, i_err = _quad(core, -1.0 / 3.0, 1.0 / 3.0, **kw)
+    j_value, j_err = _quad(lambda x: x * core(x), -1.0 / 3.0, 1.0 / 3.0, **kw)
+    tol = 1e-12 + i_err + j_err
+    ok_i = abs(i_value - a**-0.5) <= 3.45 * a**-1.5 + tol
+    ok_j = abs(j_value) <= 2.0 * a**-1.5 + tol
+    return GaussianCheck(
+        i_value=i_value,
+        j_value=j_value,
+        bounds_ok=ok_i and ok_j,
+        quad_error=i_err + j_err,
+    )
+
+
+def _rational_breakpoints(lo: float, hi: float, qmax: int = 12) -> list:
+    """Low-denominator rationals in (lo, hi): the eta quotient peaks there."""
+    pts = set()
+    for q in range(2, qmax + 1):
+        for p in range(1, q):
+            x = p / q
+            if lo < x < hi:
+                pts.add(x)
+    return sorted(pts)
+
+
+def _arc_ratio(t: int, y: float, lo: float, hi: float, **quad_kw) -> float:
+    """Ratio of int_{lo <= |x| <= hi} |f_t(x+iy)| dx to y * f_t(iy), where f_t
+    is the t-core eta quotient.  Direct-product evaluation needs y in
+    [0.02, 0.1]."""
+    if not 0.02 <= y <= 0.1:
+        raise ValueError("supported band is 0.02 <= y <= 0.1")
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    log_center = eta_quotient_log(complex(0.0, y), t).real
+
+    def rel_mag(x: float) -> float:
+        return math.exp(eta_quotient_log(complex(x, y), t).real - log_center)
+
+    integral, _ = _quad(rel_mag, lo, hi, **quad_kw)
+    return 2.0 * integral / y
+
+
+def minor_arc_ratio(t: int, y: float) -> float:
+    """Ratio of the minor-arc mass int_{y/3 <= |x| <= 1/2} |f_t(x+iy)| dx to
+    y * f_t(iy), where f_t is the t-core eta quotient.  Direct-product
+    evaluation needs y in [0.02, 0.1]."""
+    lo, hi = y / 3.0, 0.5
+    return _arc_ratio(
+        t, y, lo, hi, epsabs=0.0, epsrel=1e-6, limit=800,
+        points=_rational_breakpoints(lo, hi),
+    )
+
+
+def central_arc_ratio(t: int, y: float) -> float:
+    """Ratio of int_{|x| <= y/3} |f_t(x+iy)| dx to y * f_t(iy)."""
+    return _arc_ratio(t, y, 0.0, y / 3.0, epsabs=1.49e-8, epsrel=1e-9, limit=200)
+
+
+def _d2_gap(t: float, y: float) -> float:
+    """D_2(iy) - D_2(ity)."""
+    return (
+        eta_log_deriv(2, complex(0.0, y)).real
+        - eta_log_deriv(2, complex(0.0, t * y)).real
+    )
+
+
+def curvature_on_axis(t: int, y: float) -> float:
+    """(D_2(iy) - D_2(ity)) / y: the Gaussian concentration scale at (t, y)."""
+    return _d2_gap(t, y) / y
 
 
 # --- individual checks ----------------------------------------------------------
@@ -139,10 +305,7 @@ def check_d2_slope_band() -> CheckResult:
             t = ty / y
             if t <= 1:
                 continue
-            slope = (
-                eta_log_deriv(2, complex(0.0, y)).real
-                - eta_log_deriv(2, complex(0.0, ty)).real
-            ) / (ty - y)
+            slope = _d2_gap(t, y) / (ty - y)
             if not (1.0 / (8.0 * math.pi) < slope < 1.0 / (4.0 * math.pi)):
                 ok = False
                 worst = f"slope {slope:.8f} at y={y}, ty={ty}"
@@ -155,15 +318,10 @@ def check_d2_diff_band() -> CheckResult:
     ok = True
     for y in (1e-3, 1e-2, 0.1):
         for ty in (1.0, 2.0, 10.0):
-            diff = (
-                eta_log_deriv(2, complex(0.0, y)).real
-                - eta_log_deriv(2, complex(0.0, ty)).real
-            )
+            diff = _d2_gap(ty / y, y)
             if not (1.0 / 16.0 < diff < 1.0 / 12.0):
                 ok = False
-    anchor = (
-        eta_log_deriv(2, complex(0.0, 0.1)).real - eta_log_deriv(2, complex(0.0, 1.0)).real
-    )
+    anchor = _d2_gap(10, 0.1)
     anchor_ok = abs(anchor - 0.0635) <= 0.0005
     return CheckResult(
         "d2-difference-band", ok and anchor_ok, f"anchor {anchor:.5f} (want 0.0635+-0.0005)"
@@ -185,11 +343,7 @@ def check_d3_bounds() -> CheckResult:
                 eta_log_deriv(3, complex(0.0, y)).real
                 - eta_log_deriv(3, complex(0.0, t * y)).real
             )
-            den = (
-                eta_log_deriv(2, complex(0.0, y)).real
-                - eta_log_deriv(2, complex(0.0, t * y)).real
-            )
-            r = abs(num / den)
+            r = abs(num / _d2_gap(t, y))
             worst = max(worst, r)
             if r >= 6.0:
                 ratio_ok = False
@@ -209,11 +363,7 @@ def check_d4_ratio() -> CheckResult:
             z = complex(x, y)
             for t in (1.5, 2, 5, 20, 100, 1000):
                 num = abs(eta_log_deriv(4, z) - eta_log_deriv(4, t * z))
-                den = (
-                    eta_log_deriv(2, complex(0.0, y)).real
-                    - eta_log_deriv(2, complex(0.0, t * y)).real
-                )
-                r = num / den
+                r = num / _d2_gap(t, y)
                 worst = max(worst, r)
                 if r >= 36.0:
                     ok = False

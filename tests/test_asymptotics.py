@@ -10,22 +10,24 @@ from tcore import exact
 from tcore.asymptotics import (
     HypothesisError,
     big_t_threshold,
-    central_arc_ratio,
-    curvature_on_axis,
     estimate,
     estimate_big_t,
     estimate_difference,
     estimate_kappa,
     estimate_main,
     estimate_small_t,
-    gaussian_integral_check,
     log_gamma,
     log_interval,
-    minor_arc_ratio,
     select_regime,
     small_t_hypotheses,
 )
 from tcore.saddle import kappa_constants
+from tcore.selftest import (
+    central_arc_ratio,
+    curvature_on_axis,
+    gaussian_integral_check,
+    minor_arc_ratio,
+)
 
 
 # --- log gamma ------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import tcore
 from tcore.cli import main
+from tcore.selftest import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +222,15 @@ def test_selftest_quick(capsys):
     assert summary["result"]["failed"] == []
     check_lines = [r for r in recs if "check" in r]
     assert len(check_lines) == summary["result"]["checks"]
+
+
+def test_selftest_failure_exit_5(capsys, monkeypatch):
+    failing = [CheckResult("broken-check", False, "forced failure")]
+    monkeypatch.setattr("tcore.cli.run_checks", lambda level: failing)
+    code, recs = run_cli(capsys, "selftest", "--level", "quick")
+    assert code == 5
+    assert recs[-1]["flags"]["ok"] is False
+    assert recs[-1]["result"]["failed"] == ["broken-check"]
 
 
 def test_import_leaves_scipy_unloaded():
