@@ -131,12 +131,17 @@ def core_series_packed(inner, t, q, width):
     Slots are signed and borrow from one another, so the result is exact as
     a polynomial in 2**width; the monotonicity scan reads it only after
     adding a bias that makes every slot of a difference nonnegative.
+
+    Rows are added from the top j down.  Row j is q shifted by j*t slots, so
+    the rows shorten as j grows: starting from the shortest, the running sum
+    is never longer than the row added to it, and each addition costs the
+    row's length rather than the whole series'.
     """
     out = 0
-    shift = 0
     step = width * t
-    for cj in inner[1:]:
-        shift += step
+    shift = step * len(inner)
+    for cj in reversed(inner[1:]):
+        shift -= step
         if cj:
             out += cj * (q >> shift)
     return out

@@ -39,6 +39,7 @@ class VerificationReport:
     pairs_checked: int = 0
     workers: int = 1
     elapsed_s: float = 0.0
+    blocks: list = field(default_factory=list)  # [t_lo, t_hi, seconds] per scan block
 
     @property
     def ok(self) -> bool:
@@ -54,28 +55,50 @@ class VerificationReport:
             "pairs_checked": self.pairs_checked,
             "workers": self.workers,
             "elapsed_s": self.elapsed_s,
+            "blocks": [list(b) for b in self.blocks],
         }
 
 
 _HIGH = bytes(range(0x80, 0x100))  # top bytes of slots with D(n) >= 0
 
 
+def _all_positive(d, bias, w, t) -> bool:
+    """Whether D(n) >= 1 for every compared n = t+2..max_n, from one AND.
+
+    d = r_{t+1} - r_t packed as in ``_walk_limit``, and |D(n)| < 2**(8w-2).
+    This is the zero-byte test of Warren, Hacker's Delight, 6-1: hb holds
+    the top bit 2**(8w-1) of each compared slot and ones a 1 in each.  In
+    d + hb - ones every compared slot is D(n) + 2**(8w-1) - 1, which lies in
+    [0, 2**(8w)) and so takes no carry from or to its neighbours; its top bit
+    is set exactly when D(n) >= 1.  The slots above (among them D(t+1) = -1,
+    which every pair has) change only bits above hb."""
+    hb = bias >> (8 * w * (t + 2))
+    ones = hb >> (8 * w - 1)
+    return (d + hb - ones) & hb == hb
+
+
 def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
     """The largest n whose pair (t, t+1) the list walk must look at, or 0.
 
     prev and nxt pack r_t and r_{t+1} in w-byte slots, slot k for
-    n = max_n - k, and bias holds 2**(8w-1) in each of those slots.  With
-    D(n) = r_{t+1}(n) - r_t(n) and |D(n)| < 2**(8w-1), the slots of
-    nxt - prev + bias are exactly D(n) + 2**(8w-1), with no carry between
-    them, so each pair is read from bytes without unpacking a value:
+    n = max_n - k, and bias holds 2**(8w-1) in each of those slots.  Write
+    D(n) = r_{t+1}(n) - r_t(n); the scan guarantees |D(n)| < 2**(8w-2).
+    Only the first max_n - t - 1 slots, n = t+2..max_n, are compared.
+
+    Almost every pair has D(n) >= 1 throughout, which ``_all_positive``
+    tells without reading a byte; the walk limit is then 0.  Any other pair
+    is read from the bytes of nxt - prev + bias, whose slots are exactly
+    D(n) + 2**(8w-1), with no carry between them:
     - a top byte below 0x80 is D(n) < 0, a violation; the walk then covers
       every n up to max_n;
     - a slot of bytes 00..00 80 is D(n) = 0, an equality.  With every top
       byte at 0x80 or above, a match of that pattern can only start on a
-      slot boundary, so the first match is the largest equal n.
-    Only the first max_n - t - 1 slots, n = t+2..max_n, are read."""
+      slot boundary, so the first match is the largest equal n."""
+    d = nxt - prev
+    if _all_positive(d, bias, w, t):
+        return 0
     end = (max_n - t - 1) * w
-    e = (nxt - prev + bias).to_bytes((max_n + 1) * w, "little")
+    e = (d + bias).to_bytes((max_n + 1) * w, "little")
     if e[w - 1 : end : w].translate(None, _HIGH):
         return max_n
     k = e.find(b"\x00" * (w - 1) + b"\x80", 0, end)
@@ -83,7 +106,8 @@ def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
 
 
 def _scan_block(args) -> tuple:
-    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n.
+    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n;
+    return (violations, equalities, pairs compared, wall seconds).
 
     The inner factor is powered once, for t_lo, and stepped to each following
     t by one Euler-product multiplication; its truncation cap max_n // t only
@@ -100,10 +124,12 @@ def _scan_block(args) -> tuple:
     holds p(max_n - k).  Both c_t(n) and c_{t+1}(n) lie in [0, p(n)], so
     |r_{t+1}(n) - r_t(n)| <= p(max_n), and w = (bits of p(max_n) + 9) // 8
     leaves at least two spare bits per slot for the sign and the bias that
-    ``_walk_limit`` adds.  A pair is then compared by reading the bytes of
-    one packed difference, never by unpacking a value.  The rare pairs it
-    flags (the equality (5, 10), any violation, a fault-injection target)
-    are walked as lists from ``core_series_from_inner``, which report them."""
+    ``_walk_limit`` adds.  A pair is then cleared by one AND on the packed
+    difference, and only the rare pairs that AND flags (the equality
+    (5, 10), any violation) have their bytes read; no value is unpacked.
+    Flagged pairs and a fault-injection target are walked as lists from
+    ``core_series_from_inner``, which report them."""
+    started = time.perf_counter()
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
     w = (p[max_n].bit_length() + 9) // 8
@@ -134,7 +160,7 @@ def _scan_block(args) -> tuple:
                 elif x == y:
                     equalities.append((t, n))
         inner, prev = step, nxt
-    return violations, equalities, pairs
+    return violations, equalities, pairs, time.perf_counter() - started
 
 
 def _usable_cpus() -> int:
@@ -160,20 +186,37 @@ def default_workers() -> int:
     return workers
 
 
-def _balanced_blocks(t_lo: int, t_hi: int, parts: int) -> list:
-    """Contiguous t-blocks with roughly equal sum of 1/t (the per-t cost)."""
-    weights = [1.0 / t for t in range(t_lo, t_hi + 1)]
-    total = sum(weights)
-    target = total / parts
+# Cost of the pair check per compared slot, in units of one slot operation
+# of a core_series_packed row.  Fitted to measured block times: with it, the
+# two blocks of a two-worker scan take equal time to within ~10% at max_n
+# 400, 1400 and 3000 (the first block also powers the largest inner factor).
+_CHECK_COST = 5
+
+
+def _balanced_blocks(t_lo: int, t_hi: int, max_n: int, parts: int) -> list:
+    """At most parts contiguous t-blocks covering t_lo..t_hi, of roughly
+    equal modeled cost.
+
+    Scanning t builds r_{t+1} and checks the pair (t, t+1).  The build shifts,
+    multiplies and adds the rows j = 1..J of J = max_n // (t+1), and row j
+    spans max_n + 1 - j*(t+1) slots: about 3 * (J*max_n - (t+1)*J*(J+1)/2)
+    slot operations.  The check makes a few full-width passes over the
+    max_n - t compared slots, _CHECK_COST in all.  Block i ends at the first t
+    whose running cost reaches i/parts of the total."""
+    costs = []
+    for t in range(t_lo, t_hi + 1):
+        rows = max_n // (t + 1)
+        slots = rows * max_n - (t + 1) * rows * (rows + 1) // 2
+        costs.append(3 * slots + _CHECK_COST * (max_n - t))
+    total = sum(costs)
     blocks = []
     start = t_lo
-    acc = 0.0
-    for t, w in zip(range(t_lo, t_hi + 1), weights):
-        acc += w
-        if acc >= target and t < t_hi:
+    acc = 0
+    for t, cost in zip(range(t_lo, t_hi + 1), costs):
+        acc += cost
+        if acc * parts >= total * (len(blocks) + 1) and t < t_hi:
             blocks.append((start, t))
             start = t + 1
-            acc = 0.0
     blocks.append((start, t_hi))
     return blocks
 
@@ -186,7 +229,9 @@ def verify_exact(
     _corrupt: Optional[tuple] = None,
 ) -> VerificationReport:
     """Exhaustive exact comparison over 4 <= t < n-1, n <= max_n
-    (and t <= max_t when given).  Big-integer comparisons only."""
+    (and t <= max_t when given).  Big-integer comparisons only.  The t range
+    is cut into one cost-balanced block per worker; the report lists each
+    block's t range and wall time."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > resource_cap:
@@ -202,22 +247,20 @@ def verify_exact(
         )
     workers = workers or default_workers()
     workers = max(1, min(workers, t_hi - 3, _usable_cpus()))
-    blocks = _balanced_blocks(4, t_hi, workers * 4)
+    blocks = _balanced_blocks(4, t_hi, max_n, workers)
     tasks = [(lo, hi, max_n, _corrupt) for lo, hi in blocks]
-    violations, equalities = [], []
-    pairs = 0
     if workers == 1:
         results = map(_scan_block, tasks)
-        for v, e, c in results:
-            violations.extend(v)
-            equalities.extend(e)
-            pairs += c
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for v, e, c in pool.map(_scan_block, tasks):
-                violations.extend(v)
-                equalities.extend(e)
-                pairs += c
+            results = list(pool.map(_scan_block, tasks))
+    violations, equalities, timed = [], [], []
+    pairs = 0
+    for (lo, hi), (v, e, c, seconds) in zip(blocks, results):
+        violations.extend(v)
+        equalities.extend(e)
+        pairs += c
+        timed.append([lo, hi, seconds])
     return VerificationReport(
         max_n=max_n,
         max_t=max_t,
@@ -226,6 +269,7 @@ def verify_exact(
         pairs_checked=pairs,
         workers=workers,
         elapsed_s=time.monotonic() - started,
+        blocks=timed,
     )
 
 

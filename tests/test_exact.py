@@ -295,6 +295,6 @@ def test_log_of_integer_basics():
 def test_log_of_integer_vs_mpmath():
     mpmath = pytest.importorskip("mpmath")
     p1000 = exact.partition_numbers(1000).values[1000]
-    mpmath.mp.dps = 50
-    reference = float(mpmath.log(mpmath.mpf(p1000)))
+    with mpmath.workdps(50):
+        reference = float(mpmath.log(mpmath.mpf(p1000)))
     assert math.isclose(exact.log_of_integer(p1000), reference, rel_tol=1e-14)

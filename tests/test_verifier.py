@@ -9,6 +9,7 @@ import pytest
 from tcore import exact
 from tcore.asymptotics import HypothesisError
 from tcore.verifier import (
+    _all_positive,
     _balanced_blocks,
     _walk_limit,
     certify_interval_containment,
@@ -55,15 +56,43 @@ def test_fault_injection_detected():
 
 def test_fault_injection_at_scan_edges():
     max_n = 120
-    blocks = _balanced_blocks(4, max_n - 2, 4)  # the blocks of a one-worker scan
+    blocks = _balanced_blocks(4, max_n - 2, max_n, 2)  # the blocks of a two-worker scan
     first_hi, second_lo = blocks[0][1], blocks[1][0]
     for t, n in ((4, 6), (30, 32), (9, max_n), (max_n - 2, max_n),
                  (first_hi, 50), (second_lo, 50), (second_lo, second_lo + 2)):
-        report = verify_exact(max_n, workers=1, _corrupt=(t, n))
+        report = verify_exact(max_n, workers=2, _corrupt=(t, n))
         assert report.violations == [(t, n)]
+        if report.workers == 2:
+            assert [(lo, hi) for lo, hi, _ in report.blocks] == blocks
     # outside the compared pairs the fault touches nothing
     for t, n in ((7, 8), (7, max_n + 1), (3, 10), (max_n - 1, max_n)):
-        assert verify_exact(max_n, workers=1, _corrupt=(t, n)).violations == []
+        assert verify_exact(max_n, workers=2, _corrupt=(t, n)).violations == []
+
+
+@pytest.mark.parametrize("max_n", [6, 7, 10, 13, 30, 120, 1400, 10_000])
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 7, 64, 10_000])
+def test_balanced_blocks_tile_the_t_range(max_n, parts):
+    for t_hi in sorted({4, 5, max_n // 2, max_n - 2}):
+        if not 4 <= t_hi <= max_n - 2:
+            continue
+        blocks = _balanced_blocks(4, t_hi, max_n, parts)
+        assert blocks[0][0] == 4 and blocks[-1][1] == t_hi
+        assert all(lo <= hi for lo, hi in blocks)
+        assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+        # the modeled cost falls as t grows, so every part gets a block
+        assert len(blocks) == min(parts, t_hi - 3)
+
+
+def test_report_blocks_tile_the_scan():
+    for max_n, max_t, workers in ((150, None, 1), (150, None, 2), (400, 90, 2), (13, None, 2)):
+        report = verify_exact(max_n, max_t=max_t, workers=workers)
+        t_hi = max_n - 2 if max_t is None else max_t
+        assert len(report.blocks) == report.workers
+        assert report.blocks[0][0] == 4 and report.blocks[-1][1] == t_hi
+        assert all(b[0] == a[1] + 1 for a, b in zip(report.blocks, report.blocks[1:]))
+        assert all(lo <= hi and seconds >= 0.0 for lo, hi, seconds in report.blocks)
+        assert report.to_dict()["blocks"] == report.blocks
+    assert verify_exact(5, workers=2).blocks == []
 
 
 @pytest.mark.parametrize(
@@ -179,6 +208,39 @@ def test_walk_limit_ignores_unaligned_zero_slot():
     e = (nxt - prev + bias).to_bytes((max_n + 1) * w, "little")
     assert e.find(b"\x00\x80") % w == 1
     assert _walk_limit(prev, nxt, bias, w, t, max_n) == max_n
+
+
+# one max_n of each slot width, 1 to 9 bytes: the smallest with a compared
+# pair (6), then the smallest of each wider slot
+SLOT_WIDTH_SIZES = [6, *WIDTH_CHANGES]
+
+
+@pytest.mark.parametrize("max_n", SLOT_WIDTH_SIZES)
+def test_and_pre_check_flags_exactly_the_nonpositive_pairs(max_n):
+    w = slot_bytes(max_n)
+    big = 2 ** (8 * w - 2) - 1  # the largest |D(n)| the scan's slot width allows
+    assert w == SLOT_WIDTH_SIZES.index(max_n) + 1
+    for t in sorted({4, (max_n + 2) // 2, max_n - 2}):
+        lo, mid = t + 2, (t + 2 + max_n) // 2
+        outside = {t + 1: -1, t: -big, 0: -big}  # n <= t+1 is not compared
+
+        def check(diffs, base=None):
+            prev, nxt, bias, w = packed_pair(max_n, diffs, base)
+            return _all_positive(nxt - prev, bias, w, t), _walk_limit(prev, nxt, bias, w, t, max_n)
+
+        for base in (None, [big] * (max_n + 1), [-big] * (max_n + 1)):
+            # D(n) >= 1 at every compared n: cleared without a walk
+            assert check({}, base) == (True, 0)
+            assert check({t + 1: -1}, base) == (True, 0)  # the D(t+1) every pair has
+            assert check(outside, base) == (True, 0)
+            assert check({n: big if n % 2 else 1 for n in range(max_n + 1)}, base) == (True, 0)
+            # one D(n) = 0 or D(n) < 0 anywhere in n = t+2..max_n is flagged
+            for n in sorted({lo, mid, max_n}):
+                assert check({n: 0}, base) == (False, n)
+                assert check({**outside, n: 0}, base) == (False, n)
+                for d in (-1, -big):
+                    assert check({n: d}, base) == (False, max_n)
+                    assert check({**outside, n: d}, base) == (False, max_n)
 
 
 def test_thread_env_sets_default_workers(monkeypatch):
