@@ -125,13 +125,9 @@ def _cmd_estimate(opts) -> int:
 
 def _cmd_verify_stanton(opts) -> int:
     started = time.monotonic()
-    corrupt = None
-    if opts.inject_fault:
-        t_str, n_str = opts.inject_fault.split(",")
-        corrupt = (int(t_str), int(n_str))
     with _open_output(opts.report) as fh:  # before the scan: a bad path costs nothing
         report = verify_exact(
-            opts.max_n, max_t=opts.max_t, workers=opts.threads, _corrupt=corrupt
+            opts.max_n, max_t=opts.max_t, workers=opts.threads, _corrupt=opts.inject_fault
         )
         if fh is not None:
             json.dump(report.to_dict(), fh, indent=2)
@@ -140,6 +136,7 @@ def _cmd_verify_stanton(opts) -> int:
         "violations": [list(v) for v in report.violations],
         "equalities": [list(e) for e in report.equalities],
         "pairs_checked": report.pairs_checked,
+        "closed_form_pairs": report.closed_form_pairs,
         "elapsed_s": report.elapsed_s,
         "workers": report.workers,
     }
@@ -203,6 +200,14 @@ def _nonneg_int(value: str) -> int:
     return n
 
 
+def _fault_target(value: str) -> tuple:
+    try:
+        t, n = (int(part) for part in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected T,N (two integers), not {value!r}") from None
+    return t, n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcore",
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker count (default: TCORE_THREADS, else the CPUs this "
                         "process may run on)")
-    p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--inject-fault", type=_fault_target, default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify_stanton)
 
     p = sub.add_parser("kappa", help="growth-law constants v, A, B for a kappa")

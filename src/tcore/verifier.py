@@ -2,13 +2,15 @@
 
 Two legs: an exhaustive exact scan over a desk-scale (t, N) box, and
 per-pair certificates at large parameters that combine exact counts with the
-certified estimators.  The scan streams two adjacent t-series at a time and
-parallelizes over t-blocks; results are deterministic and ordered by (t, N).
+certified estimators.  The scan settles every pair with N < 2t from a
+two-term closed form, streams two adjacent packed t-series at a time for the
+rest, and parallelizes over t-blocks; results are deterministic and ordered
+by (t, N).
 """
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -40,6 +42,7 @@ class VerificationReport:
     workers: int = 1
     elapsed_s: float = 0.0
     blocks: list = field(default_factory=list)  # [t_lo, t_hi, seconds] per scan block
+    closed_form_pairs: int = 0  # pairs with n < 2t, settled by the closed form
 
     @property
     def ok(self) -> bool:
@@ -56,6 +59,7 @@ class VerificationReport:
             "workers": self.workers,
             "elapsed_s": self.elapsed_s,
             "blocks": [list(b) for b in self.blocks],
+            "closed_form_pairs": self.closed_form_pairs,
         }
 
 
@@ -105,62 +109,117 @@ def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
     return max_n - k // w if k >= 0 else 0
 
 
+def _closed_form_thresholds(p, top) -> list:
+    """thr[m] for m = 0..top: the least t with D >= 1 at every m' = 2..m of
+    the closed-form half of the scan (see ``_scan_block``), that is the
+    running maximum of p(m'-1) // (p(m') - p(m'-1)) + 1.  thr[0] = thr[1] = 0:
+    no pair has m < 2."""
+    thr = [0] * (top + 1)
+    bound = 0
+    for m in range(2, top + 1):
+        bound = max(bound, p[m - 1] // (p[m] - p[m - 1]) + 1)
+        thr[m] = bound
+    return thr
+
+
 def _scan_block(args) -> tuple:
     """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n;
-    return (violations, equalities, pairs compared, wall seconds).
+    return (violations, equalities, pairs compared, pairs the closed form
+    settled, wall seconds).  The pairs split at n = 2t into two halves.
 
-    The inner factor is powered once, for t_lo, and stepped to each following
-    t by one Euler-product multiplication; its truncation cap max_n // t only
-    shrinks as t grows, so the stepped factor stays exact through it.
+    Closed form, n < 2t.  Every inner factor starts 1 - t*x, so
+    c_t(n) = sum_j inner[j] * p(n - j*t) has only the terms j = 0, 1 there:
+    c_t(n) = p(n) - t*p(n - t), and n < 2t < 2(t+1) gives the same form for
+    t+1.  With m = n - t in 2..min(t-1, max_n-t),
+        D(n) = c_{t+1}(n) - c_t(n) = t*p(m) - (t+1)*p(m-1)
+             = t*(p(m) - p(m-1)) - p(m-1).
+    As p(m) > p(m-1) for m >= 2, D is strictly increasing in t, and D >= 1
+    exactly when t >= p(m-1) // (p(m) - p(m-1)) + 1.  So a t at or above
+    thr[min(t-1, max_n-t)] (``_closed_form_thresholds``) has every n < 2t
+    pair settled without a product.  Any other t, or one with a
+    fault-injection target in this half, has D evaluated pair by pair.  Up
+    to MAX_N_CAP the largest threshold is 56 and thr[m] <= m + 1 <= t, so
+    the evaluation serves faults and exactness, not real scans.
 
-    Every inner factor starts with inner[0] = 1, so c_t(n) = p(n) + r_t(n)
-    with r_t(n) = sum_{j>=1} inner[j] * p(n - j*t).  The p(n) term is the same
-    on both sides of every comparison, so the block compares r_t with r_{t+1}
-    and never computes the j = 0 row.  Order and equality are those of c_t
-    and c_{t+1}.
+    Packed, n >= n0 = 2t (only t <= max_n // 2 has such n).  The inner
+    factor of t_lo is the Euler product stepped t_lo - 1 times, and every
+    following t steps it once more (``kernels.euler_step``); its truncation
+    cap max_n // t only shrinks as t grows, so the stepped factor stays exact
+    through it.  The p(n) term is the same on both sides of a pair, so the
+    block compares r_t = c_t - p with r_{t+1} and never computes the j = 0
+    row; order and equality are those of c_t and c_{t+1}.
 
     Each r_t is one packed integer (``kernels.core_series_packed``): the
     p-series is packed once per block in reverse, w bytes per slot, so slot k
     holds p(max_n - k).  Both c_t(n) and c_{t+1}(n) lie in [0, p(n)], so
     |r_{t+1}(n) - r_t(n)| <= p(max_n), and w = (bits of p(max_n) + 9) // 8
     leaves at least two spare bits per slot for the sign and the bias that
-    ``_walk_limit`` adds.  A pair is then cleared by one AND on the packed
-    difference, and only the rare pairs that AND flags (the equality
-    (5, 10), any violation) have their bytes read; no value is unpacked.
-    Flagged pairs and a fault-injection target are walked as lists from
-    ``core_series_from_inner``, which report them."""
+    ``_walk_limit`` adds.  One AND on the packed difference clears a pair
+    whose D(n) >= 1 at every n >= n0, the test of ``_all_positive`` with
+    its constant hb - ones cut from one per-block slack; only the rare pairs
+    it flags (the equality (5, 10), any violation) have their bytes read,
+    and no value is unpacked.  Flagged pairs and a fault-injection target
+    are walked from n0 as lists from ``core_series_from_inner``, which
+    report them."""
     started = time.perf_counter()
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
-    w = (p[max_n].bit_length() + 9) // 8
-    width = 8 * w
-    q = int.from_bytes(b"".join(v.to_bytes(w, "big") for v in p), "big")
-    bias = int.from_bytes(b"\x80".ljust(w, b"\x00") * (max_n + 1), "big")
     violations, equalities = [], []
-    pairs = 0
-    inner = exact.core_inner_factor(t_lo, max_n // t_lo)
-    prev = kernels.core_series_packed(inner, t_lo, q, width)
+    pairs = closed = 0
+    # the closed-form half; t_hi <= max_n - 2 and t >= 4 give m = 2 a pair
+    thr = _closed_form_thresholds(p, (max_n - 1) // 2)
     for t in range(t_lo, t_hi + 1):
-        step = kernels.euler_step(inner, max_n // (t + 1))
-        nxt = kernels.core_series_packed(step, t + 1, q, width)
+        top = min(t - 1, max_n - t)
         pairs += max_n - t - 1
-        limit = _walk_limit(prev, nxt, bias, w, t, max_n)
-        hit = corrupt is not None and corrupt[0] == t and t + 2 <= corrupt[1] <= max_n
-        if hit:
-            limit = max(limit, corrupt[1])
-        if limit:
-            a = kernels.core_series_from_inner([0, *inner[1:]], t, p, limit)[t + 2 :]
-            b = kernels.core_series_from_inner([0, *step[1:]], t + 1, p, limit)[t + 2 :]
+        closed += top - 1
+        fault = corrupt[1] - t if corrupt is not None and corrupt[0] == t else 0
+        if t >= thr[top] and not 2 <= fault <= top:
+            continue
+        for m in range(2, top + 1):
+            d = -1 if m == fault else t * (p[m] - p[m - 1]) - p[m - 1]
+            if d < 0:
+                violations.append((t, t + m))
+            elif d == 0:
+                equalities.append((t, t + m))
+    # the packed half
+    t_top = min(t_hi, max_n // 2)
+    if t_lo <= t_top:
+        w = (p[max_n].bit_length() + 9) // 8
+        width = 8 * w
+        q = int.from_bytes(b"".join(v.to_bytes(w, "big") for v in p), "big")
+        bias = int.from_bytes(b"\x80".ljust(w, b"\x00") * (max_n + 1), "big")
+        slack = bias - (bias >> (width - 1))  # 2**(8w-1) - 1 in every slot
+        cap = max_n // t_lo
+        inner = kernels.euler_factor(cap)
+        for _ in range(t_lo - 1):
+            inner = kernels.euler_step(inner, cap)
+        prev = kernels.core_series_packed(inner, t_lo, q, width)
+        for t in range(t_lo, t_top + 1):
+            step = kernels.euler_step(inner, max_n // (t + 1))
+            nxt = kernels.core_series_packed(step, t + 1, q, width)
+            n0 = 2 * t
+            s = width * n0
+            hb = bias >> s
+            limit = 0
+            if (nxt - prev + (slack >> s)) & hb != hb:
+                # _walk_limit compares the slots n >= its t + 2
+                limit = _walk_limit(prev, nxt, bias, w, n0 - 2, max_n)
+            hit = corrupt is not None and corrupt[0] == t and n0 <= corrupt[1] <= max_n
             if hit:
-                i = corrupt[1] - t - 2
-                a[i] = b[i] + 1
-            for n, x, y in zip(count(t + 2), a, b):
-                if x > y:
-                    violations.append((t, n))
-                elif x == y:
-                    equalities.append((t, n))
-        inner, prev = step, nxt
-    return violations, equalities, pairs, time.perf_counter() - started
+                limit = max(limit, corrupt[1])
+            if limit:
+                a = kernels.core_series_from_inner([0, *inner[1:]], t, p, limit)[n0:]
+                b = kernels.core_series_from_inner([0, *step[1:]], t + 1, p, limit)[n0:]
+                if hit:
+                    i = corrupt[1] - n0
+                    a[i] = b[i] + 1
+                for n, x, y in zip(count(n0), a, b):
+                    if x > y:
+                        violations.append((t, n))
+                    elif x == y:
+                        equalities.append((t, n))
+            inner, prev = step, nxt
+    return violations, equalities, pairs, closed, time.perf_counter() - started
 
 
 def _usable_cpus() -> int:
@@ -188,8 +247,9 @@ def default_workers() -> int:
 
 # Cost of the pair check per compared slot, in units of one slot operation
 # of a core_series_packed row.  Fitted to measured block times: with it, the
-# two blocks of a two-worker scan take equal time to within ~10% at max_n
-# 400, 1400 and 3000 (the first block also powers the largest inner factor).
+# first block of a two-worker scan takes 0.97 and 0.99 of the second's time
+# at max_n 1400 and 3000, and 0.88 at 400 (run serially; the first block
+# also steps the Euler product up to its first t).
 _CHECK_COST = 5
 
 
@@ -197,17 +257,22 @@ def _balanced_blocks(t_lo: int, t_hi: int, max_n: int, parts: int) -> list:
     """At most parts contiguous t-blocks covering t_lo..t_hi, of roughly
     equal modeled cost.
 
-    Scanning t builds r_{t+1} and checks the pair (t, t+1).  The build shifts,
-    multiplies and adds the rows j = 1..J of J = max_n // (t+1), and row j
-    spans max_n + 1 - j*(t+1) slots: about 3 * (J*max_n - (t+1)*J*(J+1)/2)
-    slot operations.  The check makes a few full-width passes over the
-    max_n - t compared slots, _CHECK_COST in all.  Block i ends at the first t
-    whose running cost reaches i/parts of the total."""
+    A t with 2t <= max_n builds r_{t+1} and checks the pair (t, t+1) for
+    n >= 2t.  The build shifts, multiplies and adds the rows j = 1..J of
+    J = max_n // (t+1), and row j spans max_n + 1 - j*(t+1) slots: about
+    3 * (J*max_n - (t+1)*J*(J+1)/2) slot operations.  The check makes a few
+    full-width passes over the max_n - 2t + 1 compared slots, _CHECK_COST in
+    all.  A larger t only has pairs the closed form settles, at a cost of 1.
+    The cost never rises with t.  Block i ends at the first t whose running
+    cost reaches i/parts of the total."""
     costs = []
     for t in range(t_lo, t_hi + 1):
+        if 2 * t > max_n:
+            costs.append(1)
+            continue
         rows = max_n // (t + 1)
         slots = rows * max_n - (t + 1) * rows * (rows + 1) // 2
-        costs.append(3 * slots + _CHECK_COST * (max_n - t))
+        costs.append(3 * slots + _CHECK_COST * (max_n - 2 * t + 1))
     total = sum(costs)
     blocks = []
     start = t_lo
@@ -221,6 +286,53 @@ def _balanced_blocks(t_lo: int, t_hi: int, max_n: int, parts: int) -> list:
     return blocks
 
 
+def _block_process(task, conn) -> None:
+    """Child-process target: scan one block and send back its result, or the
+    exception it raised."""
+    try:
+        result = _scan_block(task)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_blocks(tasks) -> list:
+    """The results of _scan_block on every task, in order.  tasks[0] runs in
+    this process while each other task runs in a child process of its own
+    and sends its result through a pipe.  _scan_block is looked up as a
+    module global at each call, so a wrapper installed on it sees every
+    block, in this process and (under fork) in the children."""
+    children = []
+    results = []
+    try:
+        for task in tasks[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_block_process, args=(task, send))
+            proc.start()
+            send.close()
+            children.append((proc, recv, task))
+        results.append(_scan_block(tasks[0]))
+        for proc, recv, (lo, hi, _, _) in children:
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"scan worker for t in [{lo}, {hi}] exited with code {proc.exitcode}"
+                ) from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+    finally:
+        for proc, recv, _ in children:
+            if len(results) < len(tasks):
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return results
+
+
 def verify_exact(
     max_n: int,
     max_t: Optional[int] = None,
@@ -230,8 +342,10 @@ def verify_exact(
 ) -> VerificationReport:
     """Exhaustive exact comparison over 4 <= t < n-1, n <= max_n
     (and t <= max_t when given).  Big-integer comparisons only.  The t range
-    is cut into one cost-balanced block per worker; the report lists each
-    block's t range and wall time."""
+    is cut into one cost-balanced block per worker; the first block runs in
+    this process, each other in a child process.  The report lists each
+    block's t range and wall time, and how many pairs the n < 2t closed form
+    settled."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > resource_cap:
@@ -248,18 +362,14 @@ def verify_exact(
     workers = workers or default_workers()
     workers = max(1, min(workers, t_hi - 3, _usable_cpus()))
     blocks = _balanced_blocks(4, t_hi, max_n, workers)
-    tasks = [(lo, hi, max_n, _corrupt) for lo, hi in blocks]
-    if workers == 1:
-        results = map(_scan_block, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_block, tasks))
+    results = _run_blocks([(lo, hi, max_n, _corrupt) for lo, hi in blocks])
     violations, equalities, timed = [], [], []
-    pairs = 0
-    for (lo, hi), (v, e, c, seconds) in zip(blocks, results):
+    pairs = closed = 0
+    for (lo, hi), (v, e, c, settled, seconds) in zip(blocks, results):
         violations.extend(v)
         equalities.extend(e)
         pairs += c
+        closed += settled
         timed.append([lo, hi, seconds])
     return VerificationReport(
         max_n=max_n,
@@ -267,6 +377,7 @@ def verify_exact(
         violations=sorted(violations),
         equalities=sorted(equalities),
         pairs_checked=pairs,
+        closed_form_pairs=closed,
         workers=workers,
         elapsed_s=time.monotonic() - started,
         blocks=timed,

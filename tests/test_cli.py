@@ -157,6 +157,27 @@ def test_verify_stanton_fault_exit_5(capsys):
     assert recs[-1]["result"]["violations"] == [[6, 20]]
 
 
+@pytest.mark.parametrize("value", ["5", "a,b", "6,", "6,20,1", "6.0,20", ""])
+def test_malformed_fault_target_exit_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-stanton", "--max-n", "40", "--threads", "1", "--inject-fault", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--inject-fault" in err and "two integers" in err
+
+
+def test_verify_stanton_reports_closed_form_pairs(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    code, recs = run_cli(
+        capsys, "verify-stanton", "--max-n", "40", "--threads", "1",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    expected = sum(max(0, min(t - 2, 40 - t - 1)) for t in range(4, 39))
+    assert recs[-1]["result"]["closed_form_pairs"] == expected
+    assert json.loads(report_path.read_text())["closed_form_pairs"] == expected
+
+
 def test_unwritable_output_path_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing" / "out"
     for argv in (

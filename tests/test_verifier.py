@@ -2,15 +2,20 @@
 interval containment plumbing."""
 
 import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
 
-from tcore import exact
+import tcore
+from tcore import exact, verifier
 from tcore.asymptotics import HypothesisError
+from tcore.backend import kernels
 from tcore.verifier import (
     _all_positive,
     _balanced_blocks,
+    _closed_form_thresholds,
     _walk_limit,
     certify_interval_containment,
     certify_pair,
@@ -241,6 +246,147 @@ def test_and_pre_check_flags_exactly_the_nonpositive_pairs(max_n):
                 for d in (-1, -big):
                     assert check({n: d}, base) == (False, max_n)
                     assert check({**outside, n: d}, base) == (False, max_n)
+
+
+def closed_form_d(t, m, p):
+    """D(t + m) = c_{t+1}(t + m) - c_t(t + m) on the closed-form half, m < t."""
+    return t * p[m] - (t + 1) * p[m - 1]
+
+
+def test_closed_form_half_matches_exact_counts():
+    p = exact.partition_numbers(200).values
+    for t in range(4, 101):
+        for n in range(t + 2, 2 * t):
+            d = exact.tcore_count(t + 1, n) - exact.tcore_count(t, n)
+            assert d == closed_form_d(t, n - t, p)
+
+
+def test_closed_form_difference_increases_with_t():
+    p = exact.partition_numbers(2000).values
+    for m in range(2, 2001):
+        ds = [closed_form_d(t, m, p) for t in range(1, 120)]
+        assert all(a < b for a, b in zip(ds, ds[1:]))
+
+
+def test_closed_form_thresholds_match_brute_force():
+    top = 2000
+    p = exact.partition_numbers(top).values
+    thr = _closed_form_thresholds(p, top)
+    assert thr[:2] == [0, 0]
+    least = 0  # the least t with D >= 1 at every m' <= m, found by search
+    for m in range(2, top + 1):
+        while any(closed_form_d(least, k, p) < 1 for k in range(2, m + 1)):
+            least += 1
+        assert thr[m] == least
+
+
+def test_closed_form_thresholds_below_every_scanned_t():
+    # at the resource cap the largest m of a pair is 4999; thr[m] <= m + 1
+    # there, so no real scan reaches the pair-by-pair fallback
+    top = (verifier.MAX_N_CAP - 1) // 2
+    thr = _closed_form_thresholds(exact.partition_numbers(top).values, top)
+    assert all(thr[m] <= m + 1 for m in range(2, top + 1))
+    assert max(thr) == 56
+
+
+@pytest.mark.parametrize("max_n", [9, 10, 11, 60, 211])
+def test_closed_form_fallback_gives_the_same_report(monkeypatch, max_n):
+    clean = verify_exact(max_n, workers=1)
+    t = max_n // 2
+    faults = [(4, 6), (t, 2 * t - 1), (max_n - 2, max_n), (t, 2 * t)]  # the last one packed
+    faulty = [verify_exact(max_n, workers=1, _corrupt=f) for f in faults]
+    # thresholds no t reaches: every n < 2t pair is evaluated one by one
+    monkeypatch.setattr(verifier, "_closed_form_thresholds", lambda p, top: [10**9] * (top + 1))
+    forced = verify_exact(max_n, workers=1)
+    assert (forced.violations, forced.equalities) == (clean.violations, clean.equalities)
+    for fault, report in zip(faults, faulty):
+        forced = verify_exact(max_n, workers=1, _corrupt=fault)
+        assert forced.violations == report.violations == [fault]
+        assert forced.equalities == report.equalities
+
+
+def test_closed_form_half_reports_nonpositive_differences(monkeypatch):
+    # a monotone stand-in for p with D(t, m) = t - m - 9: equalities at
+    # t = m + 9, violations below, so every branch of the closed form runs
+    fake = [1] + [m + 10 for m in range(1, 21)]
+    monkeypatch.setattr(kernels, "partition_series", lambda limit: fake[: limit + 1])
+    t_lo, t_hi, max_n = 11, 18, 20  # 2t > max_n: only closed-form pairs
+    violations, equalities, pairs, closed, _ = verifier._scan_block((t_lo, t_hi, max_n, None))
+    signs = {
+        (t, t + m): closed_form_d(t, m, fake)
+        for t in range(t_lo, t_hi + 1)
+        for m in range(2, min(t - 1, max_n - t) + 1)
+    }
+    assert violations == sorted(k for k, d in signs.items() if d < 0)
+    assert equalities == sorted(k for k, d in signs.items() if d == 0)
+    assert (11, 13) in equalities and (14, 20) in violations
+    assert pairs == closed == len(signs)
+
+
+@pytest.mark.parametrize(
+    "max_n,max_t", [(5, None), (10, None), (57, None), (211, None), (211, 50), (90, 4), (1400, None)]
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closed_form_pairs_counted(max_n, max_t, workers):
+    t_hi = max_n - 2 if max_t is None else min(max_n - 2, max_t)
+    report = verify_exact(max_n, max_t=max_t, workers=workers)
+    expected = sum(max(0, min(t - 2, max_n - t - 1)) for t in range(4, t_hi + 1))
+    assert report.closed_form_pairs == expected
+    assert report.to_dict()["closed_form_pairs"] == expected
+
+
+def test_block_start_steps_the_euler_product():
+    for t, cap in ((1, 0), (2, 5), (4, 350), (61, 22), (13, 107)):
+        inner = kernels.euler_factor(cap)
+        for _ in range(t - 1):
+            inner = kernels.euler_step(inner, cap)
+        assert inner == exact.core_inner_factor(t, cap)
+
+
+def test_scan_powers_no_inner_factor(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the scan must not power an inner factor")
+
+    monkeypatch.setattr(kernels, "poly_mul_trunc", forbidden)
+    monkeypatch.setattr(exact, "core_inner_factor", forbidden)
+    report = verify_exact(150, workers=1)
+    assert report.equalities == [(5, 10)]
+
+
+def test_spawned_workers_give_the_same_report():
+    src = os.path.dirname(os.path.dirname(tcore.__file__))
+    code = (
+        "import multiprocessing\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from tcore import verifier\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "for corrupt in (None, (9, 12), (40, 100)):\n"
+        "    a = verifier.verify_exact(150, workers=2, _corrupt=corrupt)\n"
+        "    b = verifier.verify_exact(150, workers=1, _corrupt=corrupt)\n"
+        "    assert a.workers == 2 and len(a.blocks) == 2, a.blocks\n"
+        "    fields = ('violations', 'equalities', 'pairs_checked', 'closed_form_pairs')\n"
+        "    for name in fields:\n"
+        "        assert getattr(a, name) == getattr(b, name), name\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("TCORE_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_blocks_returns_every_block_in_order():
+    tasks = [(4, 5, 40, None), (6, 7, 40, (6, 30)), (8, 38, 40, (9, 12))]
+    results = verifier._run_blocks(tasks)
+    assert [r[:4] for r in results] == [verifier._scan_block(task)[:4] for task in tasks]
+    assert results[1][0] == [(6, 30)] and results[2][0] == [(9, 12)]
+
+
+def test_failing_worker_block_raises():
+    # max_n = -1 fails inside the child's _scan_block; the caller's block is fine
+    with pytest.raises(IndexError):
+        verifier._run_blocks([(4, 5, 40, None), (6, 7, -1, None)])
 
 
 def test_thread_env_sets_default_workers(monkeypatch):
