@@ -155,12 +155,11 @@ def _scan_block(args) -> tuple:
     |r_{t+1}(n) - r_t(n)| <= p(max_n), and w = (bits of p(max_n) + 9) // 8
     leaves at least two spare bits per slot for the sign and the bias that
     ``_walk_limit`` adds.  One AND on the packed difference clears a pair
-    whose D(n) >= 1 at every n >= n0, the test of ``_all_positive`` with
-    its constant hb - ones cut from one per-block slack; only the rare pairs
-    it flags (the equality (5, 10), any violation) have their bytes read,
-    and no value is unpacked.  Flagged pairs and a fault-injection target
-    are walked from n0 as lists from ``core_series_from_inner``, which
-    report them."""
+    whose D(n) >= 1 at every n >= n0 (``_all_positive``); only the rare
+    pairs it flags (the equality (5, 10), any violation) have their bytes
+    read, and no value is unpacked.  Flagged pairs and a fault-injection
+    target are walked from n0 as lists from ``core_series_from_inner``,
+    which report them."""
     started = time.perf_counter()
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
@@ -188,7 +187,6 @@ def _scan_block(args) -> tuple:
         width = 8 * w
         q = int.from_bytes(b"".join(v.to_bytes(w, "big") for v in p), "big")
         bias = int.from_bytes(b"\x80".ljust(w, b"\x00") * (max_n + 1), "big")
-        slack = bias - (bias >> (width - 1))  # 2**(8w-1) - 1 in every slot
         cap = max_n // t_lo
         inner = kernels.euler_factor(cap)
         for _ in range(t_lo - 1):
@@ -198,12 +196,8 @@ def _scan_block(args) -> tuple:
             step = kernels.euler_step(inner, max_n // (t + 1))
             nxt = kernels.core_series_packed(step, t + 1, q, width)
             n0 = 2 * t
-            s = width * n0
-            hb = bias >> s
-            limit = 0
-            if (nxt - prev + (slack >> s)) & hb != hb:
-                # _walk_limit compares the slots n >= its t + 2
-                limit = _walk_limit(prev, nxt, bias, w, n0 - 2, max_n)
+            # _walk_limit compares the slots n >= its t + 2
+            limit = _walk_limit(prev, nxt, bias, w, n0 - 2, max_n)
             hit = corrupt is not None and corrupt[0] == t and n0 <= corrupt[1] <= max_n
             if hit:
                 limit = max(limit, corrupt[1])

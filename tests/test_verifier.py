@@ -1,6 +1,7 @@
 """Verifier tests: exhaustive scans at small scale, pair certificates, and
 interval containment plumbing."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -383,10 +384,24 @@ def test_run_blocks_returns_every_block_in_order():
     assert results[1][0] == [(6, 30)] and results[2][0] == [(9, 12)]
 
 
-def test_failing_worker_block_raises():
-    # max_n = -1 fails inside the child's _scan_block; the caller's block is fine
-    with pytest.raises(IndexError):
-        verifier._run_blocks([(4, 5, 40, None), (6, 7, -1, None)])
+class BlockFailed(Exception):
+    pass
+
+
+def test_failing_worker_block_raises(monkeypatch):
+    # the fork start method hands the patched _scan_block to the child
+    scan = verifier._scan_block
+
+    def failing(task):
+        if task[0] == 6:
+            raise BlockFailed(task)
+        return scan(task)
+
+    monkeypatch.setattr(verifier, "_scan_block", failing)
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(verifier, "multiprocessing", ctx)
+    with pytest.raises(BlockFailed):
+        verifier._run_blocks([(4, 5, 40, None), (6, 7, 40, None)])
 
 
 def test_thread_env_sets_default_workers(monkeypatch):
