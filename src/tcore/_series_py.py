@@ -2,35 +2,45 @@
 
 These are the hot loops behind the exact counting routines, and the only
 implementation of them: ``exact`` and ``verifier`` call them through
-``backend.kernels``.  They double as the reference that independent checkers
-recount against.  All coefficients are exact Python ints.
+``backend.kernels``.  ``perfbench/check.py`` recounts its answers through
+these same kernels, so it checks the routes above them, not the kernels
+themselves.  The independent references for the kernels live in the tests:
+``tests/test_exact.py`` keeps the pentagonal loop that ``partition_series``
+replaced, SymPy's ``partition`` (a test-only oracle), an enumeration oracle
+and an n-major convolution.  All coefficients are exact Python ints.
 """
 
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 
 def partition_series(limit):
-    """p(0..limit) by Euler's pentagonal recurrence."""
-    p = [0] * (limit + 1)
-    p[0] = 1
-    for n in range(1, limit + 1):
-        s = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2  # generalized pentagonal numbers g, g + k
-            if g > n:
-                break
-            if k & 1:
-                s += p[n - g]
-                if g + k <= n:
-                    s += p[n - g - k]
-            else:
-                s -= p[n - g]
-                if g + k <= n:
-                    s -= p[n - g - k]
-            k += 1
-        p[n] = s
+    """p(0..limit) by Euler's pentagonal recurrence,
+
+        p(n) = sum_{k>=1} (-1)**(k+1) * (p(n - g_k) + p(n - g_k - k)),
+
+    with g_k = k*(3k - 1)/2, summed by the builtins.  The list grows by
+    append, so while p(n) is computed p[-h] is p(n - h).  One itemgetter per
+    sign gathers p[-h] for every offset h <= n of that sign (+ for odd k,
+    - for even k), and it is rebuilt only when n reaches the next offset:
+    about 2*sqrt(2*limit/3) times in all.  p(0..6) are seeded, because below
+    n = 7 a sign holds fewer than two offsets and itemgetter of one index
+    returns a scalar rather than a tuple; 7 is itself an offset.
+    """
+    p = [1, 1, 2, 3, 5, 7, 11][: limit + 1]
+    append = p.append
+    plus, minus = [], []  # -h for the offsets h reached so far, by sign
+    k = g = 1
+    while g <= limit:
+        signed = plus if k & 1 else minus
+        for lo, hi in ((g, g + k), (g + k, g + 3 * k + 1)):  # offset, next offset
+            signed.append(-lo)
+            if lo >= 7:
+                get_plus, get_minus = itemgetter(*plus), itemgetter(*minus)
+                for _ in range(lo, min(hi, limit + 1)):
+                    append(sum(get_plus(p)) - sum(get_minus(p)))
+        g += 3 * k + 1
+        k += 1
     return p
 
 

@@ -13,6 +13,7 @@ factor against the dense partition series.
 import math
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .backend import kernels
@@ -61,7 +62,9 @@ def partition_numbers(limit: int) -> PartitionSeries:
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     values = _partition_values(limit)
-    return PartitionSeries(t=None, values=tuple(values[: limit + 1]))
+    if len(values) > limit + 1:  # the cache may run past limit; copy once
+        values = islice(values, limit + 1)
+    return PartitionSeries(t=None, values=tuple(values))
 
 
 def core_inner_factor(t: int, cap: int) -> list:

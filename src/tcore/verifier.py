@@ -26,6 +26,7 @@ from .asymptotics import (
     small_t_hypotheses,
 )
 from .backend import kernels
+from .saddle import SolverError
 
 MAX_N_CAP = 10_000  # default resource cap for the exhaustive scan
 EXACT_PAIR_CAP = 20_000  # n up to which certify_pair just compares exact counts
@@ -414,8 +415,10 @@ def _certified_point_estimate(t: int, n: int):
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
     affordable, the difference certificate, or separated ratio intervals.
-    margin is the worst-case slack of the winning method (log units for the
-    ratio route, multiplier units for the difference route)."""
+    A difference route whose saddle solve fails hands over to the ratio
+    route, and a pair no route settles is "inconclusive".  margin is the
+    worst-case slack of the winning method (log units for the ratio route,
+    multiplier units for the difference route)."""
     if t < 1 or n < 0:
         raise ValueError("requires t >= 1 and n >= 0")
     if n <= exact_cap:
@@ -428,8 +431,13 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
             t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
             detail={"c_t": str(a), "c_t1": str(b)},
         )
+    est = None
     if t >= 6 and n > t:
-        est = estimate_difference(t, n - t)
+        try:
+            est = estimate_difference(t, n - t)
+        except SolverError:  # no saddle at (t, n - t); the ratio route may still hold
+            pass
+    if est is not None:
         lower = (
             est.diagnostics["multiplier_center"] - est.diagnostics["multiplier_halfwidth"]
         )

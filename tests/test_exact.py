@@ -55,6 +55,31 @@ def core_series_n_major(inner, t, p, limit):
     return out
 
 
+def partition_series_pentagonal_loop(limit):
+    """p(0..limit) by Euler's pentagonal recurrence, one term at a time: the
+    loop the builtin-summed partition_series replaced, kept as its reference."""
+    p = [0] * (limit + 1)
+    p[0] = 1
+    for n in range(1, limit + 1):
+        s = 0
+        k = 1
+        while True:
+            g = k * (3 * k - 1) // 2  # generalized pentagonal numbers g, g + k
+            if g > n:
+                break
+            if k & 1:
+                s += p[n - g]
+                if g + k <= n:
+                    s += p[n - g - k]
+            else:
+                s -= p[n - g]
+                if g + k <= n:
+                    s -= p[n - g - k]
+            k += 1
+        p[n] = s
+    return p
+
+
 # --- partition numbers ------------------------------------------------------------
 
 def test_partition_empty():
@@ -72,6 +97,23 @@ def test_partition_series_vs_enumeration():
     series = exact.partition_numbers(25)
     for n in range(26):
         assert series.values[n] == count_partitions(n, n)
+
+
+@pytest.mark.parametrize("limit", list(range(81)) + [1400, 20000])
+def test_partition_series_matches_pentagonal_loop(limit):
+    assert kernels.partition_series(limit) == partition_series_pentagonal_loop(limit)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 1400, 12345, 40000])
+def test_partition_series_vs_sympy(n):
+    sympy_partition = pytest.importorskip("sympy").partition
+    assert kernels.partition_series(n)[n] == sympy_partition(n)
+
+
+def test_partition_numbers_match_oracle():
+    assert exact.partition_numbers(20000).values == tuple(
+        partition_series_pentagonal_loop(20000)
+    )
 
 
 def test_partition_limit_validation():

@@ -458,6 +458,18 @@ def test_certify_pair_inconclusive():
     assert not cert.ok
 
 
+@pytest.mark.parametrize("t,n", [(4500, 25000), (10000, 30000)])
+def test_certify_pair_survives_saddle_failure(t, n):
+    # The difference route's saddle solve at (t, n - t) raises SolverError
+    # here; the certificate falls through to the ratio route instead.
+    cert = certify_pair(t, n)
+    assert cert.method in ("ratio", "inconclusive")
+    exact_cert = certify_pair(t, n, exact_cap=n)
+    assert exact_cert.method == "exact"
+    if cert.ok:
+        assert exact_cert.ok
+
+
 def test_containment_hypothesis_error():
     with pytest.raises(HypothesisError):
         certify_interval_containment(8, 50, "small_t")
