@@ -19,9 +19,17 @@ from typing import Optional
 
 from . import exact
 from .modular import eta_quotient_log
-from .saddle import SaddleResult, kappa_constants, solve_saddle
+from .saddle import SaddleResult, kappa_constants, shifted_index, solve_saddle
 
 INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
+# Rounding of a saddle-point quantity, relative to the size of the terms that
+# cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
+# saddle ordinate.  Fitted to 50-digit evaluations over t = 1e3..1e8,
+# n = 5e4..1e8: the main-log roundoff / (2 pi M y) stayed <= 2.1e-16 and the
+# relative y roundoff / (t y)^2 <= 7e-17, so 8 ulp of 1 keeps a margin above
+# 5x.  A regime is certified only while ROUNDOFF_REL times that size stays
+# within INTERVAL_PADDING.
+ROUNDOFF_REL = 8.0 * 2.0**-52
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
 BIG_T_EPS = 0.5  # default margin in the big-t regime threshold
 # Largest n the big-t hybrid accepts: it grows the exact p-series to n, a
@@ -61,35 +69,11 @@ def _holds(lhs: float, rhs: float) -> bool:
 
 # --- log gamma ----------------------------------------------------------------
 
-# Stirling tail coefficients: x^-1, x^-3, ..., x^-13
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    7.0 / 1092.0,
-)
-
-
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 by the Stirling series, shifting the argument
-    up to >= 10 where the truncated tail is below 1e-15 relative."""
+    """log Gamma(x) for x > 0 (math.lgamma, with the domain made explicit)."""
     if x <= 0.0:
         raise ValueError("x must be positive")
-    shift = 0.0
-    while x < 10.0:
-        shift -= math.log(x)
-        x += 1.0
-    acc = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    p = inv
-    for c in _STIRLING:
-        acc += c * p
-        p *= inv2
-    return acc + shift
+    return math.lgamma(x)
 
 
 # --- the saddle-point estimators ------------------------------------------------
@@ -106,21 +90,24 @@ def _saddle_diagnostics(res: SaddleResult) -> dict:
 def estimate_main(t: int, n: int) -> CertifiedEstimate:
     """Saddle-point main term with the explicit 3.5/curvature error bound.
 
-    Certified when min(t, 1/y) >= 1000 and the scaled tilt |drift| < 2/25
-    (automatic at the solved saddle, where the residual vanishes).
+    Certified when min(t, 1/y) >= 1000, the scaled tilt |drift| < 2/25
+    (automatic at the solved saddle, where the residual vanishes), and the
+    exponent 2 pi M y, which cancels against the eta quotient, is small
+    enough that its rounding stays within the padding
+    (ROUNDOFF_REL * 2 pi M y <= INTERVAL_PADDING).
     """
     res = solve_saddle(t, n)
     y = res.y
     d2_diff = res.curvature * y  # = D_2(iy) - D_2(ity)
     log_ft = eta_quotient_log(complex(0.0, y), t).real
-    log_value = (
-        1.5 * math.log(y)
-        + 2.0 * math.pi * res.shifted_index * y
-        + log_ft
-        - 0.5 * math.log(d2_diff)
-    )
+    exponent = 2.0 * math.pi * res.shifted_index * y
+    log_value = 1.5 * math.log(y) + exponent + log_ft - 0.5 * math.log(d2_diff)
     rel = 3.5 * y / d2_diff + INTERVAL_PADDING
-    hyp = _holds(min(t, 1.0 / y), 1000.0) and abs(res.drift) < 2.0 / 25.0
+    hyp = (
+        _holds(min(t, 1.0 / y), 1000.0)
+        and abs(res.drift) < 2.0 / 25.0
+        and ROUNDOFF_REL * exponent <= INTERVAL_PADDING
+    )
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=rel,
@@ -136,16 +123,22 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
         c_{t+1}(n+t) - c_t(n+t)  in  c_t(n) * [center - E, center + E],
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
-    saddle ordinate for (t, n).  Certified when min(t, 1/y) >= 1000 and
-    t y >= 1/2.  log_value is the log of the (positive) center; the consumer
-    multiplies by an exact or certified c_t(n).
+    saddle ordinate for (t, n).  Certified when min(t, 1/y) >= 1000,
+    t y >= 1/2, and the relative rounding of y, which grows with (t y)^2,
+    stays within the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    log_value is the log of the (positive) center; the consumer multiplies
+    by an exact or certified c_t(n).
     """
     res = solve_saddle(t, n)
     y = res.y
     ty = t * y
     center = 2.0 * math.pi * ty - 1.0
     halfwidth = ty * (705.0 * y + 120.0 * ty * math.exp(-2.0 * math.pi * ty))
-    hyp = _holds(min(t, 1.0 / y), 1000.0) and _holds(ty, 0.5)
+    hyp = (
+        _holds(min(t, 1.0 / y), 1000.0)
+        and _holds(ty, 0.5)
+        and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING
+    )
     diagnostics = _saddle_diagnostics(res)
     diagnostics["multiplier_center"] = center
     diagnostics["multiplier_halfwidth"] = halfwidth
@@ -169,7 +162,7 @@ def small_t_hypotheses(t: int, n: int) -> bool:
     """t >= 8, M >= 100000 and t(t-1)/(4 pi M) < (1/5) min(2/sqrt 3, 2 pi/log t)."""
     if t < 8:
         return False
-    m = n + (t * t - 1) / 24.0
+    m = shifted_index(t, n)
     if not _holds(m, 100_000.0):
         return False
     lhs = t * (t - 1) / (4.0 * math.pi * m)
@@ -184,7 +177,7 @@ def estimate_small_t(t: int, n: int) -> CertifiedEstimate:
         raise ValueError("small-t estimate requires t >= 8")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = n + (t * t - 1) / 24.0
+    m = shifted_index(t, n)
     log_value = (
         0.5 * (t - 1) * math.log(2.0 * math.pi)
         - 0.5 * t * math.log(t)
@@ -266,20 +259,27 @@ def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
     )
 
 
+def certified_estimate(t: int, n: int) -> Optional[CertifiedEstimate]:
+    """The certified single-point estimate at (t, n): small_t when its
+    hypotheses hold, else main when its hypotheses hold, else None (also
+    outside t >= 2, n >= 1, where neither regime applies)."""
+    if t < 2 or n < 1:
+        return None
+    if small_t_hypotheses(t, n):
+        return estimate_small_t(t, n)
+    est = estimate_main(t, n)
+    return est if est.hypotheses_ok else None
+
+
 def select_regime(t: int, n: int) -> str:
-    """The certified regime whose hypotheses hold (small_t preferred, then
-    main); otherwise the big-t hybrid when in its range, else the kappa
-    heuristic - both uncertified."""
+    """The certified regime whose hypotheses hold (certified_estimate);
+    otherwise the big-t hybrid when in its range, else the kappa heuristic -
+    both uncertified."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    if t >= 8 and small_t_hypotheses(t, n):
-        return "small_t"
-    if n >= 1:
-        try:
-            if estimate_main(t, n).hypotheses_ok:
-                return "main"
-        except Exception:
-            pass
+    est = certified_estimate(t, n)
+    if est is not None:
+        return est.regime
     if t > big_t_threshold(n):
         return "big_t_hybrid"
     return "kappa_heuristic"

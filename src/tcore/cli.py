@@ -10,14 +10,12 @@ check.
 import argparse
 import contextlib
 import json
-import math
 import sys
 import time
 
 from . import __version__, exact
-from .asymptotics import HypothesisError, estimate
+from .asymptotics import HypothesisError, estimate, log_interval
 from .saddle import SolverError, kappa_constants, solve_saddle
-from .selftest import run_checks
 from .verifier import verify_exact
 
 EXIT_OK = 0
@@ -114,10 +112,7 @@ def _cmd_estimate(opts) -> int:
         "diagnostics": est.diagnostics,
     }
     if est.rel_error_bound is not None and est.rel_error_bound < 1.0:
-        result["log_interval"] = [
-            est.log_value + math.log1p(-est.rel_error_bound),
-            est.log_value + math.log1p(est.rel_error_bound),
-        ]
+        result["log_interval"] = list(log_interval(est))
     flags = {"hypotheses_ok": est.hypotheses_ok, "certified": est.hypotheses_ok}
     _emit("estimate", {"t": opts.t, "n": opts.n, "regime": opts.regime}, result, flags, started)
     return EXIT_OK
@@ -171,6 +166,8 @@ def _cmd_kappa(opts) -> int:
 
 
 def _cmd_selftest(opts) -> int:
+    from .selftest import run_checks  # imported here: no other command needs it
+
     started = time.monotonic()
     results = run_checks(level=opts.level)
     for check in results:

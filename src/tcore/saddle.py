@@ -18,9 +18,10 @@ from .modular import eta_log_deriv
 Y_REL_TOL = 1e-12
 MAX_BISECTIONS = 200
 _BRACKET_NUDGE = 1e-15
-# |g| below this multiple of M is indistinguishable from rounding noise: at
-# small t*y the root sits a relative ~e^(-2 pi/(t y)) above the lower bracket
-# endpoint, far below double resolution, so the endpoint sign is pure fuzz.
+# |g| below this multiple of the terms that cancel inside g is
+# indistinguishable from rounding noise: at small t*y the root sits a relative
+# ~e^(-2 pi/(t y)) above the lower bracket endpoint, far below double
+# resolution, so the endpoint sign is pure fuzz (see _residual_noise).
 RESIDUAL_NOISE_REL = 1e-9
 
 
@@ -42,6 +43,15 @@ def saddle_residual(t: int, n: int, y: float) -> float:
     """g(y) = (D_1(ity) - D_1(iy))/y^2 - M; positive left of the saddle."""
     m = shifted_index(t, n)
     return (_d(1, t * y) - _d(1, y)) / (y * y) - m
+
+
+def _residual_noise(m: float, y: float) -> float:
+    """Rounding floor of g(y): RESIDUAL_NOISE_REL times the size of the terms
+    that cancel in it.  M bounds the quotient D_1(ity)/y^2 at large t*y, and
+    1/(12 y^2) the two D_1 quotients where t*y < 1 (|D_1(iy)| <= 1/24 below
+    y = 1).  The second outgrows M when (t - 1) y is small (small t, large
+    n), as M = (t - 1)/(4 pi y) at the lower endpoint."""
+    return RESIDUAL_NOISE_REL * (m + 1.0 / (12.0 * y * y))
 
 
 def saddle_bracket(t: int, n: int) -> tuple:
@@ -79,13 +89,35 @@ class SaddleResult:
     within_guarantees: bool
 
 
+def _bisect(f, lo: float, hi: float) -> tuple:
+    """Bisect a decreasing f on [lo, hi] (f(lo) > 0 >= f(hi) up to noise)
+    until hi - lo <= Y_REL_TOL * hi; returns (midpoint, bisections)."""
+    iterations = 0
+    while hi - lo > Y_REL_TOL * hi:
+        if iterations >= MAX_BISECTIONS:
+            raise SolverError(f"no convergence after {MAX_BISECTIONS} bisections")
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return 0.5 * (lo + hi), iterations
+
+
 def solve_saddle(t: int, n: int) -> SaddleResult:
     """Bisection solve of g(y) = 0 to relative tolerance Y_REL_TOL in y.
 
-    When the root is pinned against the lower bracket endpoint (small t*y:
-    the exact gap is below double resolution and the endpoint residual is
-    rounding noise), the nudged endpoint itself is returned; a residual more
-    negative than the noise floor still signals an evaluation bug.
+    Both bracket endpoints are judged against the same noise rule
+    (_residual_noise).  When the root is pinned against the lower
+    endpoint (small t*y: the exact gap is below double resolution and the
+    endpoint residual is rounding noise), the nudged endpoint itself is
+    returned.  At the upper endpoint the exact g is -t^2 sum_k sigma(k)
+    e^(-2 pi k t y) < 0 (the endpoint solves the t -> oo equation), which
+    for t*y >~ 6 falls below the rounding of the (t^2 - 1)/24 terms that
+    cancel inside g; bisection then settles inside that noise band.  A
+    residual beyond the noise floor at either endpoint signals an evaluation
+    bug.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -93,36 +125,25 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         raise ValueError("n must be nonnegative")
     b_lo, b_hi = saddle_bracket(t, n)
     m = shifted_index(t, n)
-    noise = RESIDUAL_NOISE_REL * m
     lo = b_lo * (1.0 + _BRACKET_NUDGE)  # strict inequalities in the bracket
     hi = b_hi * (1.0 - _BRACKET_NUDGE)
     g_lo = saddle_residual(t, n, lo)
     g_hi = saddle_residual(t, n, hi)
-    if g_hi >= 0.0 or g_lo <= -noise:
+    if g_hi >= _residual_noise(m, hi) or g_lo <= -_residual_noise(m, lo):
         raise SolverError(
             f"bracket sign failure at (t, n) = ({t}, {n}): "
             f"g(lo) = {g_lo:.3e}, g(hi) = {g_hi:.3e}"
         )
-    iterations = 0
     if g_lo > 0.0:
-        while hi - lo > Y_REL_TOL * hi:
-            if iterations >= MAX_BISECTIONS:
-                raise SolverError(f"no convergence after {MAX_BISECTIONS} bisections")
-            mid = 0.5 * (lo + hi)
-            if saddle_residual(t, n, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        y = 0.5 * (lo + hi)
+        y, iterations = _bisect(lambda v: saddle_residual(t, n, v), lo, hi)
     else:
-        y = lo  # root pinned at the lower endpoint to within noise
+        y, iterations = lo, 0  # root pinned at the lower endpoint to within noise
     residual = saddle_residual(t, n, y)
     curvature = (_d(2, y) - _d(2, t * y)) / y
     return SaddleResult(
         t=t,
         n=n,
-        shifted_index=shifted_index(t, n),
+        shifted_index=m,
         y=y,
         bracket_lo=b_lo,
         bracket_hi=b_hi,
@@ -160,15 +181,7 @@ def solve_scaled_saddle(kappa: float) -> float:
         lo *= 0.5
     else:
         raise SolverError("lower bracket expansion failed")
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if scale_residual(kappa, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= Y_REL_TOL * hi:
-            return 0.5 * (lo + hi)
-    raise SolverError(f"no convergence after {MAX_BISECTIONS} bisections")
+    return _bisect(lambda v: scale_residual(kappa, v), lo, hi)[0]
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,13 @@ from typing import Optional
 from . import exact
 from .asymptotics import (
     HypothesisError,
+    certified_estimate,
     estimate_difference,
     estimate_main,
     estimate_small_t,
     log_interval,
-    small_t_hypotheses,
 )
 from .backend import kernels
-from .saddle import SolverError
 
 MAX_N_CAP = 10_000  # default resource cap for the exhaustive scan
 EXACT_PAIR_CAP = 20_000  # n up to which certify_pair just compares exact counts
@@ -401,24 +400,13 @@ class PairCertificate:
         }
 
 
-def _certified_point_estimate(t: int, n: int):
-    """A certified single-point estimate, small-t regime first."""
-    if t >= 8 and small_t_hypotheses(t, n):
-        return estimate_small_t(t, n)
-    try:
-        est = estimate_main(t, n)
-    except Exception:
-        return None
-    return est if est.hypotheses_ok else None
-
-
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
     affordable, the difference certificate, or separated ratio intervals.
-    A difference route whose saddle solve fails hands over to the ratio
-    route, and a pair no route settles is "inconclusive".  margin is the
-    worst-case slack of the winning method (log units for the ratio route,
-    multiplier units for the difference route)."""
+    A pair no route settles is "inconclusive"; the certificate routes raise
+    on no input with t >= 1 and n >= 0.  margin is the worst-case slack of
+    the winning method (log units for the ratio route, multiplier units for
+    the difference route)."""
     if t < 1 or n < 0:
         raise ValueError("requires t >= 1 and n >= 0")
     if n <= exact_cap:
@@ -431,13 +419,8 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
             t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
             detail={"c_t": str(a), "c_t1": str(b)},
         )
-    est = None
     if t >= 6 and n > t:
-        try:
-            est = estimate_difference(t, n - t)
-        except SolverError:  # no saddle at (t, n - t); the ratio route may still hold
-            pass
-    if est is not None:
+        est = estimate_difference(t, n - t)
         lower = (
             est.diagnostics["multiplier_center"] - est.diagnostics["multiplier_halfwidth"]
         )
@@ -450,8 +433,8 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
                     "multiplier_halfwidth": est.diagnostics["multiplier_halfwidth"],
                 },
             )
-    est_lo = _certified_point_estimate(t, n)
-    est_hi = _certified_point_estimate(t + 1, n)
+    est_lo = certified_estimate(t, n)
+    est_hi = certified_estimate(t + 1, n)
     if est_lo is not None and est_hi is not None:
         _, upper_t = log_interval(est_lo)
         lower_t1, _ = log_interval(est_hi)

@@ -3,13 +3,16 @@ checks, and the cheap consistency identities.  Exact-count containments are
 exercised in the acceptance suite."""
 
 import math
+import random
 
 import pytest
 
 from tcore import exact
 from tcore.asymptotics import (
+    BIG_T_MAX_N,
     HypothesisError,
     big_t_threshold,
+    certified_estimate,
     estimate,
     estimate_big_t,
     estimate_difference,
@@ -21,13 +24,14 @@ from tcore.asymptotics import (
     select_regime,
     small_t_hypotheses,
 )
-from tcore.saddle import kappa_constants
+from tcore.saddle import kappa_constants, solve_saddle
 from tcore.selftest import (
     central_arc_ratio,
     curvature_on_axis,
     gaussian_integral_check,
     minor_arc_ratio,
 )
+from tcore.verifier import certify_pair
 
 
 # --- log gamma ------------------------------------------------------------------
@@ -56,6 +60,17 @@ def test_log_gamma_vs_stdlib():
         assert math.isclose(log_gamma(x), math.lgamma(x), rel_tol=1e-12)
     with pytest.raises(ValueError):
         log_gamma(0.0)
+
+
+def test_log_gamma_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(13)
+    xs = [(t - 1) / 2 for t in range(8, 5001)]  # the small-t arguments
+    xs += [rng.uniform(1e-3, 1e4) for _ in range(3000)]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.loggamma(x)
+            assert abs(log_gamma(x) - ref) <= 1e-15 * max(1.0, abs(ref)), x
 
 
 # --- main estimator ------------------------------------------------------------------
@@ -197,6 +212,39 @@ def test_select_regime_examples():
     assert select_regime(1000, 60_000) == "main"
     assert select_regime(6, 20) == "kappa_heuristic"  # nothing certifies
     assert select_regime(600, 10_000) == "big_t_hybrid"
+
+
+def test_certified_estimate_chooser():
+    assert certified_estimate(50, 100_000).regime == "small_t"
+    assert certified_estimate(1000, 60_000).regime == "main"
+    assert certified_estimate(6, 20) is None  # nothing certifies
+    assert certified_estimate(1, 100_000) is None  # outside t >= 2
+    assert certified_estimate(1000, 0) is None  # outside n >= 1: no saddle
+
+
+# t from 2 to 1e8 and n from 1 to 1e8, about four and three steps a decade,
+# with the points whose bracket used to fail by rounding
+TOTAL_TS = sorted(
+    {2, 3, 4, 5, 6, 7, 8, 10, 4500, 30000, 300000}
+    | {round(10 ** (k / 4)) for k in range(4, 33)}
+)
+TOTAL_NS = sorted({1, 2, 5, 20500, 25000} | {round(10 ** (k / 3)) for k in range(1, 25)})
+
+
+def test_total_on_domain_grid():
+    """No exception anywhere on the grid, apart from the big-t cap."""
+    for t in TOTAL_TS:
+        for n in TOTAL_NS:
+            solve_saddle(t, n)
+            estimate_main(t, n)
+            estimate_difference(t, n)
+            regime = select_regime(t, n)
+            if regime == "big_t_hybrid" and n > BIG_T_MAX_N:
+                with pytest.raises(ValueError, match="big-t hybrid cap"):
+                    estimate(t, n)
+            else:
+                assert estimate(t, n).regime == regime
+            certify_pair(t, n, exact_cap=0)
 
 
 def test_estimate_dispatch():

@@ -88,6 +88,14 @@ def test_saddle_solver_failure_exit_3(capsys):
     assert recs[-1]["kind"] == "solver"
 
 
+def test_saddle_rounding_at_upper_endpoint_exit_0(capsys):
+    # g(hi) rounds to 0 here, inside the noise floor of the upper endpoint
+    code, recs = run_cli(capsys, "saddle", "--t", "4500", "--n", "20500")
+    assert code == 0
+    result = recs[-1]["result"]
+    assert result["bracket_lo"] < result["y"] < result["bracket_hi"]
+
+
 def test_estimate_auto_regimes(capsys):
     code, recs = run_cli(capsys, "estimate", "--t", "1000", "--n", "60000")
     assert code == 0
@@ -106,8 +114,9 @@ def test_estimate_forced_hypothesis_failure_exit_4(capsys):
 
 
 def test_estimate_big_t_beyond_cap_exit_2(capsys):
-    # auto-selects the big-t hybrid, whose exact p-series would need days
-    code, recs = run_cli(capsys, "estimate", "--t", "100000", "--n", "10000000")
+    # auto-selects the big-t hybrid (the main regime's roundoff budget fails
+    # there), whose exact p-series would need days
+    code, recs = run_cli(capsys, "estimate", "--t", "100000000", "--n", "10000000")
     assert code == 2
     assert recs[-1]["kind"] == "usage"
     assert "big-t hybrid cap" in recs[-1]["error"]
@@ -247,7 +256,7 @@ def test_selftest_quick(capsys):
 
 def test_selftest_failure_exit_5(capsys, monkeypatch):
     failing = [CheckResult("broken-check", False, "forced failure")]
-    monkeypatch.setattr("tcore.cli.run_checks", lambda level: failing)
+    monkeypatch.setattr("tcore.selftest.run_checks", lambda level: failing)
     code, recs = run_cli(capsys, "selftest", "--level", "quick")
     assert code == 5
     assert recs[-1]["flags"]["ok"] is False
@@ -259,6 +268,20 @@ def test_import_leaves_scipy_unloaded():
     code = (
         "import sys, tcore, tcore.cli; "
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_selftest_and_mpmath_unloaded():
+    # only the selftest command needs the self-test suites; mpmath is a
+    # test-only oracle that the package never imports
+    src = os.path.dirname(os.path.dirname(tcore.__file__))
+    code = (
+        "import sys, tcore.cli; "
+        "loaded = [m for m in ('tcore.selftest', 'mpmath') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
     env = dict(os.environ, PYTHONPATH=src)

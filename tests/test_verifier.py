@@ -460,8 +460,10 @@ def test_certify_pair_inconclusive():
 
 @pytest.mark.parametrize("t,n", [(4500, 25000), (10000, 30000)])
 def test_certify_pair_survives_saddle_failure(t, n):
-    # The difference route's saddle solve at (t, n - t) raises SolverError
-    # here; the certificate falls through to the ratio route instead.
+    # g rounds to 0 at the upper bracket endpoint of the difference route's
+    # saddle solve at (t, n - t); the solve succeeds, but 1/y < 1000 fails the
+    # difference hypotheses, so the certificate falls through to the ratio
+    # route.
     cert = certify_pair(t, n)
     assert cert.method in ("ratio", "inconclusive")
     exact_cert = certify_pair(t, n, exact_cap=n)
