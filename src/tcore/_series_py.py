@@ -14,7 +14,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul, sub
 
 
-def partition_series(limit):
+def partition_series(limit, prefix=()):
     """p(0..limit) by Euler's pentagonal recurrence,
 
         p(n) = sum_{k>=1} (-1)**(k+1) * (p(n - g_k) + p(n - g_k - k)),
@@ -26,8 +26,13 @@ def partition_series(limit):
     about 2*sqrt(2*limit/3) times in all.  p(0..6) are seeded, because below
     n = 7 a sign holds fewer than two offsets and itemgetter of one index
     returns a scalar rather than a tuple; 7 is itself an offset.
+
+    prefix, when given, must hold p(0..len(prefix) - 1).  The build resumes
+    from a copy of it (prefix itself is never changed) and skips the offset
+    segments it already fills, so growing a cached series costs only the new
+    values.  An empty prefix runs the same loop from the seed.
     """
-    p = [1, 1, 2, 3, 5, 7, 11][: limit + 1]
+    p = list(prefix[: limit + 1]) if len(prefix) > 7 else [1, 1, 2, 3, 5, 7, 11][: limit + 1]
     append = p.append
     plus, minus = [], []  # -h for the offsets h reached so far, by sign
     k = g = 1
@@ -35,9 +40,11 @@ def partition_series(limit):
         signed = plus if k & 1 else minus
         for lo, hi in ((g, g + k), (g + k, g + 3 * k + 1)):  # offset, next offset
             signed.append(-lo)
-            if lo >= 7:
+            # p holds >= min(7, limit + 1) values, so a nonempty range starts at 7 or later
+            start, stop = max(lo, len(p)), min(hi, limit + 1)
+            if start < stop:
                 get_plus, get_minus = itemgetter(*plus), itemgetter(*minus)
-                for _ in range(lo, min(hi, limit + 1)):
+                for _ in range(start, stop):
                     append(sum(get_plus(p)) - sum(get_minus(p)))
         g += 3 * k + 1
         k += 1

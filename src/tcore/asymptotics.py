@@ -14,22 +14,19 @@ interest.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exact
 from .modular import eta_quotient_log
-from .saddle import SaddleResult, kappa_constants, shifted_index, solve_saddle
+from .saddle import (
+    INTERVAL_PADDING,
+    ROUNDOFF_REL,
+    SaddleResult,
+    kappa_constants,
+    shifted_index,
+    solve_saddle,
+)
 
-INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
-# Rounding of a saddle-point quantity, relative to the size of the terms that
-# cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
-# saddle ordinate.  Fitted to 50-digit evaluations over t = 1e3..1e8,
-# n = 5e4..1e8: the main-log roundoff / (2 pi M y) stayed <= 2.1e-16 and the
-# relative y roundoff / (t y)^2 <= 7e-17, so 8 ulp of 1 keeps a margin above
-# 5x.  A regime is certified only while ROUNDOFF_REL times that size stays
-# within INTERVAL_PADDING.
-ROUNDOFF_REL = 8.0 * 2.0**-52
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
 BIG_T_EPS = 0.5  # default margin in the big-t regime threshold
 # Largest n the big-t hybrid accepts: it grows the exact p-series to n, a
@@ -42,16 +39,17 @@ class HypothesisError(ValueError):
     """A regime was forced whose hypotheses do not hold."""
 
 
-@dataclass(frozen=True)
-class CertifiedEstimate:
+class CertifiedEstimate(NamedTuple):
     """Log-space main term + rigorous relative error bound (None when the
-    regime carries no explicit constant)."""
+    regime carries no explicit constant).  diagnostics defaults to None
+    rather than a dict that every default-built estimate would share; every
+    estimator passes a dict of its own."""
 
     log_value: float
     rel_error_bound: Optional[float]
     regime: str
     hypotheses_ok: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Optional[dict] = None
 
 
 def log_interval(est: CertifiedEstimate) -> tuple:
@@ -124,8 +122,9 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
     saddle ordinate for (t, n).  Certified when min(t, 1/y) >= 1000,
-    t y >= 1/2, and the relative rounding of y, which grows with (t y)^2,
-    stays within the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    t y >= 1/2, and y is within the solver's guarantees: its relative
+    rounding, which grows with (t y)^2, stays within the padding
+    (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
     log_value is the log of the (positive) center; the consumer multiplies
     by an exact or certified c_t(n).
     """
@@ -137,7 +136,7 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
     hyp = (
         _holds(min(t, 1.0 / y), 1000.0)
         and _holds(ty, 0.5)
-        and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING
+        and res.within_guarantees
     )
     diagnostics = _saddle_diagnostics(res)
     diagnostics["multiplier_center"] = center

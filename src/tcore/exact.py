@@ -12,9 +12,8 @@ factor against the dense partition series.
 
 import math
 import threading
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .backend import kernels
 
@@ -22,8 +21,7 @@ PARTITION_LIMIT_CAP = 10**8
 BRUTEFORCE_CAP = 40
 
 
-@dataclass(frozen=True)
-class PartitionSeries:
+class PartitionSeries(NamedTuple):
     """Exact counts indexed by N = 0..limit; t is None for plain p(N)."""
 
     t: Optional[int]
@@ -37,20 +35,21 @@ class PartitionSeries:
 # Dense p(N) values, grown on demand and shared by every caller.  Replaced
 # wholesale (never mutated in place) so concurrent readers stay safe, and only
 # ever by a longer list: the swap is made under _p_lock, while the series
-# itself is computed outside it.
+# itself is computed outside it, resumed from the cached values.
 _p_values: list = [1]
 _p_lock = threading.Lock()
 
 
 def _partition_values(limit: int) -> list:
     """Internal cached accessor for p(0..limit) as a plain list (at least
-    limit + 1 entries; possibly more)."""
+    limit + 1 entries; more when the cache is already longer).  A grow builds
+    exactly p(0..limit), computing only the values past the cache."""
     global _p_values
     if limit >= PARTITION_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds cap {PARTITION_LIMIT_CAP}")
     values = _p_values
     if limit >= len(values):
-        values = kernels.partition_series(max(limit, 2 * len(values)))
+        values = kernels.partition_series(limit, values)
         with _p_lock:
             if len(values) > len(_p_values):
                 _p_values = values

@@ -15,9 +15,8 @@ accuracy targets the rest of the package relies on.
 import cmath
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 TWO_PI = 2.0 * math.pi
 TRUNCATION_TOL = 1e-18
@@ -126,8 +125,7 @@ def quotient_step_log(z: complex, t: int) -> complex:
 
 # --- polynomial tables for the inverted expansions ---------------------------
 
-@dataclass(frozen=True)
-class PolynomialTable:
+class PolynomialTable(NamedTuple):
     """Exact coefficients of the degree-k expansion polynomials.
 
     fn_coeffs holds the polynomial multiplying sigma(n) e(-n/z) in the

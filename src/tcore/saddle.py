@@ -11,7 +11,7 @@ the rescaled equation behind the kappa-regime constants A(kappa), B(kappa).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modular import eta_log_deriv
 
@@ -23,6 +23,15 @@ _BRACKET_NUDGE = 1e-15
 # ~e^(-2 pi/(t y)) above the lower bracket endpoint, far below double
 # resolution, so the endpoint sign is pure fuzz (see _residual_noise).
 RESIDUAL_NOISE_REL = 1e-9
+INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
+# Rounding of a saddle-point quantity, relative to the size of the terms that
+# cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
+# saddle ordinate.  Fitted to 50-digit evaluations over t = 1e3..1e8,
+# n = 5e4..1e8: the main-log roundoff / (2 pi M y) stayed <= 2.1e-16 and the
+# relative y roundoff / (t y)^2 <= 7e-17, so 8 ulp of 1 keeps a margin above
+# 5x.  A result is trusted only while ROUNDOFF_REL times that size stays
+# within INTERVAL_PADDING.
+ROUNDOFF_REL = 8.0 * 2.0**-52
 
 
 class SolverError(RuntimeError):
@@ -67,13 +76,15 @@ def saddle_bracket(t: int, n: int) -> tuple:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SaddleResult:
+class SaddleResult(NamedTuple):
     """Solved saddle ordinate with bracket, residual and diagnostics.
 
     curvature is (D_2(iy) - D_2(ity))/y (the Gaussian concentration scale);
     drift is y * residual (the scaled linear tilt).  within_guarantees marks
-    whether t is large enough for the certified error bounds downstream.
+    whether t is large enough for the certified error bounds downstream and
+    y lies in the float-safe domain: its relative rounding, about
+    2^-53 (t y)^2 / 2, stays within the padding
+    (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
     """
 
     t: int
@@ -140,6 +151,7 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         y, iterations = lo, 0  # root pinned at the lower endpoint to within noise
     residual = saddle_residual(t, n, y)
     curvature = (_d(2, y) - _d(2, t * y)) / y
+    ty = t * y
     return SaddleResult(
         t=t,
         n=n,
@@ -151,7 +163,7 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         curvature=curvature,
         drift=y * residual,
         iterations=iterations,
-        within_guarantees=t >= 6 and n >= 1,
+        within_guarantees=t >= 6 and n >= 1 and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING,
     )
 
 
@@ -184,8 +196,7 @@ def solve_scaled_saddle(kappa: float) -> float:
     return _bisect(lambda v: scale_residual(kappa, v), lo, hi)[0]
 
 
-@dataclass(frozen=True)
-class KappaConstants:
+class KappaConstants(NamedTuple):
     """Constants (v, A, B) of the kappa-regime growth law
     exp(2 pi sqrt(A N)) / (B N) for counts with t^2 = kappa N."""
 

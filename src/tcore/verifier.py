@@ -8,13 +8,11 @@ rest, and parallelizes over t-blocks; results are deterministic and ordered
 by (t, N).
 """
 
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import exact
 from .asymptotics import (
@@ -31,17 +29,20 @@ MAX_N_CAP = 10_000  # default resource cap for the exhaustive scan
 EXACT_PAIR_CAP = 20_000  # n up to which certify_pair just compares exact counts
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """Result of an exhaustive scan.  The list fields default to an empty
+    tuple, so default-built reports share nothing mutable; verify_exact
+    passes lists of its own."""
+
     max_n: int
     max_t: Optional[int]
     violations: list  # (t, n) with c_t(n) > c_{t+1}(n)
     equalities: list  # (t, n) with c_t(n) = c_{t+1}(n), 4 <= t < n-1
-    certified_pairs: list = field(default_factory=list)
+    certified_pairs: list = ()
     pairs_checked: int = 0
     workers: int = 1
     elapsed_s: float = 0.0
-    blocks: list = field(default_factory=list)  # [t_lo, t_hi, seconds] per scan block
+    blocks: list = ()  # [t_lo, t_hi, seconds] per scan block
     closed_form_pairs: int = 0  # pairs with n < 2t, settled by the closed form
 
     @property
@@ -296,13 +297,19 @@ def _run_blocks(tasks) -> list:
     this process while each other task runs in a child process of its own
     and sends its result through a pipe.  _scan_block is looked up as a
     module global at each call, so a wrapper installed on it sees every
-    block, in this process and (under fork) in the children."""
+    block, in this process and (under fork) in the children.
+    multiprocessing is imported only once a second block needs a child, so
+    neither import tcore nor a one-block scan loads it."""
+    if len(tasks) == 1:
+        return [_scan_block(tasks[0])]
+    from multiprocessing import Pipe, Process
+
     children = []
     results = []
     try:
         for task in tasks[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_block_process, args=(task, send))
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_block_process, args=(task, send))
             proc.start()
             send.close()
             children.append((proc, recv, task))
@@ -350,8 +357,8 @@ def verify_exact(
         t_hi = min(t_hi, max_t)
     if t_hi < 4:
         return VerificationReport(
-            max_n=max_n, max_t=max_t, violations=[], equalities=[], workers=1,
-            elapsed_s=time.monotonic() - started,
+            max_n=max_n, max_t=max_t, violations=[], equalities=[], certified_pairs=[],
+            workers=1, elapsed_s=time.monotonic() - started, blocks=[],
         )
     workers = workers or default_workers()
     workers = max(1, min(workers, t_hi - 3, _usable_cpus()))
@@ -370,6 +377,7 @@ def verify_exact(
         max_t=max_t,
         violations=sorted(violations),
         equalities=sorted(equalities),
+        certified_pairs=[],
         pairs_checked=pairs,
         closed_form_pairs=closed,
         workers=workers,
@@ -378,15 +386,18 @@ def verify_exact(
     )
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
+    """Outcome of certify_pair.  detail defaults to None rather than a dict
+    that every default-built certificate would share; certify_pair passes
+    a dict of its own."""
+
     t: int
     n: int
     method: str  # exact | difference | ratio | inconclusive
     ok: bool
     equality: bool
     margin: float
-    detail: dict = field(default_factory=dict)
+    detail: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {
@@ -396,7 +407,7 @@ class PairCertificate:
             "ok": self.ok,
             "equality": self.equality,
             "margin": self.margin,
-            "detail": dict(self.detail),
+            "detail": dict(self.detail or {}),
         }
 
 
@@ -445,7 +456,7 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
                 detail={"regimes": (est_lo.regime, est_hi.regime)},
             )
     return PairCertificate(
-        t=t, n=n, method="inconclusive", ok=False, equality=False, margin=0.0,
+        t=t, n=n, method="inconclusive", ok=False, equality=False, margin=0.0, detail={},
     )
 
 

@@ -17,8 +17,8 @@ class _Gate:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self, arg):
-        out = self.compute(arg)
+    def __call__(self, *args):
+        out = self.compute(*args)
         if threading.current_thread() is not threading.main_thread():
             self.entered.set()
             self.release.wait(10)

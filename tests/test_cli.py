@@ -82,6 +82,15 @@ def test_saddle_record(capsys):
         assert 1.0 / 26.0 <= band <= 1.0 / 12.0
 
 
+def test_saddle_flag_marks_the_float_safe_domain(capsys):
+    code, recs = run_cli(capsys, "saddle", "--t", "100000000", "--n", "1")
+    assert code == 0
+    assert recs[-1]["flags"]["within_guarantees"] is False
+    code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "60000")
+    assert code == 0
+    assert recs[-1]["flags"]["within_guarantees"] is True
+
+
 def test_saddle_solver_failure_exit_3(capsys):
     code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "0")
     assert code == 3
@@ -269,6 +278,24 @@ def test_import_leaves_scipy_unloaded():
         "import sys, tcore, tcore.cli; "
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
         "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_dataclasses_and_multiprocessing_unloaded():
+    # records are named tuples, and only a scan with a second block forks
+    src = os.path.dirname(os.path.dirname(tcore.__file__))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tcore\n"
+        "heavy = {'dataclasses', 'inspect', 'multiprocessing'}\n"
+        "added = heavy & (set(sys.modules) - before)\n"
+        "assert not added, sorted(added)\n"
+        "assert tcore.verify_exact(60, workers=1).ok\n"
+        "assert 'multiprocessing' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -116,6 +116,42 @@ def test_partition_numbers_match_oracle():
     )
 
 
+# prefix lengths 1-8 (through the seeded p(0..6)), at, just before and just
+# after the pentagonal offsets 12, 15, 22, 26, 35, and a few thousand
+RESUME_LENGTHS = list(range(1, 9)) + [11, 12, 13, 15, 16, 21, 22, 26, 27, 35, 36, 2998, 3001]
+
+
+@pytest.mark.parametrize("length", RESUME_LENGTHS)
+def test_partition_series_resumes_from_a_prefix(length):
+    prefix = kernels.partition_series(length - 1)
+    kept = list(prefix)
+    for limit in (length - 1, length, length + 1, length + 40, 3100):
+        got = kernels.partition_series(limit, prefix)
+        assert got == kernels.partition_series(limit)  # and nothing past limit
+        assert got is not prefix
+    assert prefix == kept  # the prefix is copied, never extended
+    assert kernels.partition_series(3100, tuple(prefix)) == kernels.partition_series(3100)
+
+
+def test_partition_cache_grows_to_exactly_limit(monkeypatch):
+    monkeypatch.setattr(exact, "_p_values", [1])
+    build = kernels.partition_series
+    built = []
+
+    def recording(limit, prefix=()):
+        built.append((limit, len(prefix)))
+        return build(limit, prefix)
+
+    monkeypatch.setattr(kernels, "partition_series", recording)
+    first = exact._partition_values(100)
+    assert len(first) == len(exact._p_values) == 101
+    second = exact._partition_values(150)
+    assert len(second) == len(exact._p_values) == 151
+    assert exact._partition_values(120) is second  # served from the cache
+    assert built == [(100, 1), (150, 101)]  # each grow resumes from the cache
+    assert first == build(100) and second == build(150)
+
+
 def test_partition_limit_validation():
     with pytest.raises(ValueError):
         exact.partition_numbers(-1)

@@ -6,6 +6,8 @@ import pytest
 
 from tcore.modular import eta_quotient_log
 from tcore.saddle import (
+    INTERVAL_PADDING,
+    ROUNDOFF_REL,
     SolverError,
     kappa_constants,
     saddle_bracket,
@@ -47,6 +49,7 @@ def test_solve_at_reference_point():
     assert res.bracket_lo < res.y < res.bracket_hi
     assert abs(res.residual) < 1e-9 * res.shifted_index
     assert abs(res.drift) < 1e-8
+    assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
     assert res.within_guarantees
 
 
@@ -74,6 +77,14 @@ def test_curvature_band():
         if res.y <= 0.1:
             band = res.curvature / min(t, 1.0 / res.y)
             assert 1.0 / 26.0 <= band <= 1.0 / 12.0
+
+
+def test_guarantee_flag_needs_the_float_safe_domain():
+    # at (1e8, 1) the relative rounding of y, ~2^-53 (t y)^2 / 2, is a few
+    # percent (tests/test_saddle_oracle.py); the reference point stays inside
+    res = solve_saddle(10**8, 1)
+    assert ROUNDOFF_REL * (res.t * res.y) ** 2 > INTERVAL_PADDING
+    assert not res.within_guarantees
 
 
 def test_small_t_flag_and_rejections():

@@ -142,6 +142,14 @@ def test_solve_matches_oracle_root(t, n):
         assert abs(res.y - y_star) <= Y_REL_TOL * y_star
 
 
+def test_guarantee_flag_off_where_y_is_off():
+    # outside the float-safe domain y is percents off the root (2.7% here)
+    res = solve_saddle(10**8, 1)
+    with mpmath.workdps(ORACLE_DPS):
+        assert abs(res.y - saddle_root(10**8, 1)) > 0.01 * res.y
+    assert not res.within_guarantees
+
+
 FLOAT_SAFE_TS = (1000, 2000, 5000, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6, 10**7, 10**8)
 FLOAT_SAFE_NS = (5 * 10**4, 10**5, 10**6, 10**7, 10**8)
 

@@ -398,8 +398,10 @@ def test_failing_worker_block_raises(monkeypatch):
         return scan(task)
 
     monkeypatch.setattr(verifier, "_scan_block", failing)
+    # _run_blocks imports Pipe and Process from multiprocessing at call time
     ctx = multiprocessing.get_context("fork")
-    monkeypatch.setattr(verifier, "multiprocessing", ctx)
+    monkeypatch.setattr(multiprocessing, "Process", ctx.Process)
+    monkeypatch.setattr(multiprocessing, "Pipe", ctx.Pipe)
     with pytest.raises(BlockFailed):
         verifier._run_blocks([(4, 5, 40, None), (6, 7, 40, None)])
 
