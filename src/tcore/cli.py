@@ -14,8 +14,6 @@ import sys
 import time
 
 from . import __version__, exact
-from .asymptotics import HypothesisError, estimate, log_interval
-from .saddle import SolverError, kappa_constants, solve_saddle
 from .verifier import verify_exact
 
 EXIT_OK = 0
@@ -79,6 +77,8 @@ def _cmd_count(opts) -> int:
 
 
 def _cmd_saddle(opts) -> int:
+    from .saddle import solve_saddle
+
     started = time.monotonic()
     res = solve_saddle(opts.t, opts.n)
     result = {
@@ -97,6 +97,8 @@ def _cmd_saddle(opts) -> int:
 
 
 def _cmd_estimate(opts) -> int:
+    from .asymptotics import HypothesisError, estimate, log_interval
+
     started = time.monotonic()
     regime = _REGIME_FLAGS[opts.regime]
     forced = regime != "auto"
@@ -147,6 +149,8 @@ def _cmd_verify_stanton(opts) -> int:
 
 
 def _cmd_kappa(opts) -> int:
+    from .saddle import kappa_constants
+
     started = time.monotonic()
     kappas = [opts.kappa] if opts.table is None else [float(k) for k in opts.table.split(",")]
     rows = []
@@ -252,6 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_error(module: str, name: str):
+    """The exception class called name in tcore.<module>, or () (which no
+    exception matches) when that module was never loaded and so cannot have
+    raised it: count and verify-stanton never load saddle or asymptotics."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else getattr(loaded, name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv)
@@ -259,7 +271,7 @@ def main(argv=None) -> int:
         parser.error("count requires --n or --max-n")
     try:
         return opts.fn(opts)
-    except SolverError as exc:
+    except _loaded_error("saddle", "SolverError") as exc:
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "solver"}))
         return EXIT_SOLVER
     except RuntimeError as exc:  # e.g. a series that fails to converge
@@ -269,7 +281,7 @@ def main(argv=None) -> int:
         error = str(exc) or "out of memory"
         print(json.dumps({"cmd": opts.command, "error": error, "kind": "memory"}))
         return EXIT_SOLVER
-    except HypothesisError as exc:
+    except _loaded_error("asymptotics", "HypothesisError") as exc:
         print(json.dumps({"cmd": opts.command, "error": str(exc), "kind": "hypothesis"}))
         return EXIT_HYPOTHESIS
     except ValueError as exc:

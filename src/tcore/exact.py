@@ -17,7 +17,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .backend import kernels
 
-PARTITION_LIMIT_CAP = 10**8
+# p(0..N) costs time ~N^2 and memory ~N^1.5 (README, "Resource caps"): the
+# cap refuses, before any work, an N whose series would take over ~5 minutes.
+PARTITION_LIMIT_CAP = 10**6
 BRUTEFORCE_CAP = 40
 
 
@@ -45,7 +47,7 @@ def _partition_values(limit: int) -> list:
     limit + 1 entries; more when the cache is already longer).  A grow builds
     exactly p(0..limit), computing only the values past the cache."""
     global _p_values
-    if limit >= PARTITION_LIMIT_CAP:
+    if limit > PARTITION_LIMIT_CAP:
         raise ValueError(f"limit {limit} exceeds cap {PARTITION_LIMIT_CAP}")
     values = _p_values
     if limit >= len(values):

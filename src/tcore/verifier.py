@@ -5,24 +5,16 @@ per-pair certificates at large parameters that combine exact counts with the
 certified estimators.  The scan settles every pair with N < 2t from a
 two-term closed form, streams two adjacent packed t-series at a time for the
 rest, and parallelizes over t-blocks; results are deterministic and ordered
-by (t, N).
+by (t, N).  The certificates import the estimators (and fractions) when they
+first run, so the scan never loads them.
 """
 
 import os
 import time
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple, Optional
 
 from . import exact
-from .asymptotics import (
-    HypothesisError,
-    certified_estimate,
-    estimate_difference,
-    estimate_main,
-    estimate_small_t,
-    log_interval,
-)
 from .backend import kernels
 
 MAX_N_CAP = 10_000  # default resource cap for the exhaustive scan
@@ -430,6 +422,8 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
             t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
             detail={"c_t": str(a), "c_t1": str(b)},
         )
+    from .asymptotics import certified_estimate, estimate_difference, log_interval
+
     if t >= 6 and n > t:
         est = estimate_difference(t, n - t)
         lower = (
@@ -466,6 +460,8 @@ def certify_interval_containment(t: int, n: int, regime: str) -> tuple:
     adjacent difference lies in the certified multiplier interval times the
     exact base count.  Returns (contained, margin); margin is the distance to
     the nearer endpoint (log units, multiplier units for 'difference')."""
+    from .asymptotics import HypothesisError, estimate_main, estimate_small_t, log_interval
+
     if regime == "main":
         est = estimate_main(t, n)
     elif regime == "small_t":
@@ -482,6 +478,10 @@ def certify_interval_containment(t: int, n: int, regime: str) -> tuple:
 
 
 def _difference_containment(t: int, n: int) -> tuple:
+    from fractions import Fraction
+
+    from .asymptotics import HypothesisError, estimate_difference
+
     est = estimate_difference(t, n)
     if not est.hypotheses_ok:
         raise HypothesisError(f"difference hypotheses fail at ({t}, {n})")

@@ -131,11 +131,23 @@ def test_estimate_big_t_beyond_cap_exit_2(capsys):
     assert "big-t hybrid cap" in recs[-1]["error"]
 
 
+def test_count_beyond_partition_cap_exit_2(capsys):
+    # refused before any work: a p-series this long would take hours
+    n = tcore.exact.PARTITION_LIMIT_CAP + 1
+    code, recs = run_cli(capsys, "count", "--t", "3", "--n", str(n))
+    assert code == 2
+    assert recs[-1]["kind"] == "usage"
+    assert f"exceeds cap {tcore.exact.PARTITION_LIMIT_CAP}" in recs[-1]["error"]
+    code, recs = run_cli(capsys, "count", "--t", "3", "--max-n", str(n))
+    assert code == 2
+    assert recs[-1]["kind"] == "usage"
+
+
 def test_numeric_failure_exit_3(capsys, monkeypatch):
     def diverges(t, n, regime="auto"):
         raise RuntimeError("series truncation cap exceeded")
 
-    monkeypatch.setattr("tcore.cli.estimate", diverges)
+    monkeypatch.setattr("tcore.asymptotics.estimate", diverges)  # read per call
     code, recs = run_cli(capsys, "estimate", "--t", "1000", "--n", "60000")
     assert code == 3
     assert recs[-1] == {
@@ -272,21 +284,24 @@ def test_selftest_failure_exit_5(capsys, monkeypatch):
     assert recs[-1]["result"]["failed"] == ["broken-check"]
 
 
-def test_import_leaves_scipy_unloaded():
+def _run_python(code):
     src = os.path.dirname(os.path.dirname(tcore.__file__))
-    code = (
-        "import sys, tcore, tcore.cli; "
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-        "assert not loaded, loaded"
-    )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, tcore, tcore.cli; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
+    _run_python(code)
+
+
 def test_import_leaves_dataclasses_and_multiprocessing_unloaded():
     # records are named tuples, and only a scan with a second block forks
-    src = os.path.dirname(os.path.dirname(tcore.__file__))
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -297,20 +312,96 @@ def test_import_leaves_dataclasses_and_multiprocessing_unloaded():
         "assert tcore.verify_exact(60, workers=1).ok\n"
         "assert 'multiprocessing' not in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_python(code)
+
+
+# Loaded only by a certified query: the eta, saddle and estimator modules and
+# the standard-library modules that only they (or the certificates) need.
+_CERTIFIED_MODULES = (
+    "tcore.modular", "tcore.saddle", "tcore.asymptotics", "fractions", "decimal", "cmath",
+)
+
+
+def test_exact_counts_and_scan_leave_certified_modules_unloaded():
+    code = (
+        "import sys\n"
+        f"certified = {_CERTIFIED_MODULES!r}\n"
+        "import tcore\n"
+        "assert tcore.tcore_count(60, 2000) > 0\n"
+        "assert tcore.verify_exact(60, workers=1).ok\n"
+        "loaded = [m for m in certified if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert tcore.estimate(1000, 60000).hypotheses_ok\n"
+        "missing = [m for m in certified if m not in sys.modules]\n"
+        "assert not missing, missing\n"
+    )
+    _run_python(code)
+
+
+def test_cli_count_and_scan_leave_certified_modules_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        f"certified = {_CERTIFIED_MODULES!r}\n"
+        "from tcore.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['count', '--t', '5', '--n', '10']) == 0\n"
+        "    assert main(['count', '--t', '5', '--max-n', '50']) == 0\n"
+        "    assert main(['verify-stanton', '--max-n', '60', '--threads', '1']) == 0\n"
+        "loaded = [m for m in certified if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    _run_python(code)
+
+
+def test_lazy_names_resolve_to_their_submodules():
+    code = (
+        "import tcore\n"
+        "from tcore import asymptotics, exact, modular, saddle, verifier\n"
+        "owners = (asymptotics, exact, modular, saddle, verifier, tcore.backend)\n"
+        "listed = dir(tcore)\n"
+        "for name in tcore.__all__:\n"
+        "    assert name in listed, name\n"
+        "    value = getattr(tcore, name)\n"
+        "    assert any(getattr(m, name, None) is value for m in owners), name\n"
+        "namespace = {}\n"
+        "exec('from tcore import *', namespace)\n"
+        "assert set(tcore.__all__) <= set(namespace)\n"
+        "assert namespace['estimate'] is asymptotics.estimate\n"
+        "assert namespace['SolverError'] is saddle.SolverError\n"
+        "assert namespace['sigma'] is modular.sigma\n"
+        "assert not hasattr(tcore, 'no_such_name')  # AttributeError, nothing else\n"
+    )
+    _run_python(code)
+
+
+def test_lazy_names_follow_a_tracer_install_and_uninstall(tmp_path):
+    # tcore.estimate is looked up in tcore.asymptotics on every access: a
+    # wrapper the tracer installs there is seen while installed, and gone after
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "from pathlib import Path\n"
+        "import layers, tcore\n"
+        "tcore.certify_pair(2000, 100000)  # loads asymptotics through verifier\n"
+        f"tracer = layers.Tracer(tcore, Path({str(tmp_path)!r}))\n"
+        "tracer.install()\n"
+        "tcore.estimate(1000, 60000)\n"
+        "tracer.uninstall()\n"
+        "tcore.estimate(1000, 60000)\n"
+        "tracer.collect()\n"
+        "calls = tracer.metrics()['asymptotics.estimate.calls']\n"
+        "assert calls == 1, calls\n"
+    )
+    _run_python(code)
 
 
 def test_import_leaves_selftest_and_mpmath_unloaded():
     # only the selftest command needs the self-test suites; mpmath is a
     # test-only oracle that the package never imports
-    src = os.path.dirname(os.path.dirname(tcore.__file__))
     code = (
         "import sys, tcore.cli; "
         "loaded = [m for m in ('tcore.selftest', 'mpmath') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_python(code)
