@@ -61,8 +61,8 @@ _EXPORTS = {
         "CertifiedEstimate",
         "HypothesisError",
         "estimate",
-        "estimate_big_t",
         "estimate_difference",
+        "estimate_exact",
         "estimate_kappa",
         "estimate_main",
         "estimate_small_t",

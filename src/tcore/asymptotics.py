@@ -28,11 +28,10 @@ from .saddle import (
 )
 
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
-BIG_T_EPS = 0.5  # default margin in the big-t regime threshold
-# Largest n the big-t hybrid accepts: it grows the exact p-series to n, a
+# Largest n the exact regime accepts: it grows the exact p-series to n, a
 # pure-Python bignum job of several seconds at this size that grows
 # superlinearly beyond it.
-BIG_T_MAX_N = 100_000
+EXACT_REGIME_MAX_N = 100_000
 
 
 class HypothesisError(ValueError):
@@ -193,49 +192,43 @@ def estimate_small_t(t: int, n: int) -> CertifiedEstimate:
     )
 
 
-def big_t_threshold(n: int, eps: float = BIG_T_EPS) -> float:
-    """t must exceed (1+eps) (sqrt 6 / 2 pi) sqrt(n) log(n) for the hybrid
-    remainder expansion to be in regime."""
+def big_t_threshold(n: int) -> float:
+    """1.5 (sqrt 6 / 2 pi) sqrt(n) log(n): the exact regime takes t above it,
+    where its inner factor has degree n // t < sqrt(n) / (0.58 log n)."""
     if n < 2:
         return 0.0
-    return (1.0 + eps) * math.sqrt(6.0) / (2.0 * math.pi) * math.sqrt(n) * math.log(n)
+    return 1.5 * math.sqrt(6.0) / (2.0 * math.pi) * math.sqrt(n) * math.log(n)
 
 
-def estimate_big_t(t: int, n: int, eps: float = BIG_T_EPS) -> CertifiedEstimate:
-    """Hybrid estimate p(n) - t p(n-t) built from exact p-values, with the
-    residual scale t^2 p(n-2t) reported separately (no explicit constant is
-    available, so the bound is not rigorous and rel_error_bound is None)."""
+def estimate_exact(t: int, n: int) -> CertifiedEstimate:
+    """The log of the exact count c_t(n), for t above big_t_threshold(n) and
+    n up to EXACT_REGIME_MAX_N.  Its cost is that of the p-series to n; the
+    inner factor above the threshold is short.  The bound is the padding
+    alone (log_of_integer is accurate to ~1 ulp).  A zero count (t = 2 or 3
+    only) has no log-space interval: log_value is -inf, rel_error_bound is
+    None and the estimate is not certified.  diagnostics["count"] holds the
+    count as a decimal string."""
     if t < 2:
         raise ValueError("t must be >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > BIG_T_MAX_N:
+    if n > EXACT_REGIME_MAX_N:
         raise ValueError(
-            f"n {n} exceeds the big-t hybrid cap {BIG_T_MAX_N}: the hybrid needs "
-            "exact p-values up to n, whose cost grows superlinearly in n"
+            f"n {n} exceeds the exact regime cap {EXACT_REGIME_MAX_N}: the exact "
+            "count needs p-values up to n, whose cost grows superlinearly in n"
         )
-    p = exact._partition_values(n)
-    main = p[n] - (t * p[n - t] if n >= t else 0)
-    residual = t * t * p[n - 2 * t] if n >= 2 * t else 0
-    if main <= 0:
-        if n >= 2 * t:
-            raise ValueError(
-                f"nonpositive main term at (t, n) = ({t}, {n}): far outside regime"
-            )
-        log_value = math.nan
-    else:
-        log_value = exact.log_of_integer(main)
-    diagnostics = {
-        "residual_scale_log": exact.log_of_integer(residual) if residual > 0 else None,
-        "threshold": big_t_threshold(n, eps),
-        "eps": eps,
-    }
+    if t <= big_t_threshold(n):
+        raise HypothesisError(
+            f"exact regime needs t > {big_t_threshold(n):.6g} at n = {n}, not t = {t}"
+        )
+    count = exact.tcore_count(t, n)
+    certified = count > 0
     return CertifiedEstimate(
-        log_value=log_value,
-        rel_error_bound=None,
-        regime="big_t_hybrid",
-        hypotheses_ok=t > big_t_threshold(n, eps),
-        diagnostics=diagnostics,
+        log_value=exact.log_of_integer(count) if certified else -math.inf,
+        rel_error_bound=INTERVAL_PADDING if certified else None,
+        regime="exact",
+        hypotheses_ok=certified,
+        diagnostics={"count": str(count)},
     )
 
 
@@ -272,22 +265,22 @@ def certified_estimate(t: int, n: int) -> Optional[CertifiedEstimate]:
 
 def select_regime(t: int, n: int) -> str:
     """The certified regime whose hypotheses hold (certified_estimate);
-    otherwise the big-t hybrid when in its range, else the kappa heuristic -
-    both uncertified."""
+    otherwise the exact count when t is above big_t_threshold(n), else the
+    kappa heuristic, which is uncertified."""
     if t < 2:
         raise ValueError("t must be >= 2")
     est = certified_estimate(t, n)
     if est is not None:
         return est.regime
     if t > big_t_threshold(n):
-        return "big_t_hybrid"
+        return "exact"
     return "kappa_heuristic"
 
 
 _ESTIMATORS = {
     "main": estimate_main,
     "small_t": estimate_small_t,
-    "big_t_hybrid": estimate_big_t,
+    "exact": estimate_exact,
     "kappa_heuristic": estimate_kappa,
     "difference": estimate_difference,
 }

@@ -26,7 +26,7 @@ _REGIME_FLAGS = {
     "auto": "auto",
     "main": "main",
     "small-t": "small_t",
-    "big-t": "big_t_hybrid",
+    "exact": "exact",
     "kappa": "kappa_heuristic",
 }
 
@@ -103,7 +103,7 @@ def _cmd_estimate(opts) -> int:
     regime = _REGIME_FLAGS[opts.regime]
     forced = regime != "auto"
     est = estimate(opts.t, opts.n, regime=regime)
-    if forced and regime in ("main", "small_t") and not est.hypotheses_ok:
+    if forced and regime in ("main", "small_t", "exact") and not est.hypotheses_ok:
         raise HypothesisError(
             f"hypotheses of forced regime {opts.regime} fail at ({opts.t}, {opts.n})"
         )
@@ -238,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-t", type=_positive_int, default=None)
     p.add_argument("--report", default=None, help="write the full report as JSON")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker count (default: TCORE_THREADS, else the CPUs this "
-                        "process may run on)")
+                   help="worker count (default: the CPUs this process may run on)")
     p.add_argument("--inject-fault", type=_fault_target, default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify_stanton)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from . import exact
 from .backend import kernels
 
-MAX_N_CAP = 10_000  # default resource cap for the exhaustive scan
+MAX_N_CAP = 10_000  # resource cap for the exhaustive scan
 EXACT_PAIR_CAP = 20_000  # n up to which certify_pair just compares exact counts
 
 
@@ -212,24 +212,11 @@ def _scan_block(args) -> tuple:
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     reports one (a `taskset`-restricted process gets fewer than the host
-    has), else the logical core count."""
+    has), else the logical core count.  The default worker count and its
+    ceiling."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def default_workers() -> int:
-    """TCORE_THREADS when set (a positive integer), else the usable CPUs."""
-    env = os.environ.get("TCORE_THREADS")
-    if not env:
-        return _usable_cpus()
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TCORE_THREADS must be a positive integer, not {env!r}")
-    return workers
 
 
 # Cost of the pair check per compared slot, in units of one slot operation
@@ -330,7 +317,6 @@ def verify_exact(
     max_n: int,
     max_t: Optional[int] = None,
     workers: Optional[int] = None,
-    resource_cap: int = MAX_N_CAP,
     _corrupt: Optional[tuple] = None,
 ) -> VerificationReport:
     """Exhaustive exact comparison over 4 <= t < n-1, n <= max_n
@@ -341,8 +327,8 @@ def verify_exact(
     settled."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if max_n > resource_cap:
-        raise ValueError(f"max_n {max_n} exceeds resource cap {resource_cap}")
+    if max_n > MAX_N_CAP:
+        raise ValueError(f"max_n {max_n} exceeds resource cap {MAX_N_CAP}")
     started = time.monotonic()
     t_hi = max_n - 2
     if max_t is not None:
@@ -352,8 +338,8 @@ def verify_exact(
             max_n=max_n, max_t=max_t, violations=[], equalities=[], certified_pairs=[],
             workers=1, elapsed_s=time.monotonic() - started, blocks=[],
         )
-    workers = workers or default_workers()
-    workers = max(1, min(workers, t_hi - 3, _usable_cpus()))
+    cpus = _usable_cpus()
+    workers = max(1, min(workers or cpus, t_hi - 3, cpus))
     blocks = _balanced_blocks(4, t_hi, max_n, workers)
     results = _run_blocks([(lo, hi, max_n, _corrupt) for lo, hi in blocks])
     violations, equalities, timed = [], [], []
@@ -403,26 +389,39 @@ class PairCertificate(NamedTuple):
         }
 
 
+def _exact_certificate(t: int, n: int) -> PairCertificate:
+    """The pair (t, t+1) at n settled by comparing the exact counts."""
+    a = exact.tcore_count(t, n)
+    b = exact.tcore_count(t + 1, n)
+    margin = 0.0
+    if a > 0 and b > 0:
+        margin = exact.log_of_integer(b) - exact.log_of_integer(a)
+    return PairCertificate(
+        t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
+        detail={"c_t": str(a), "c_t1": str(b)},
+    )
+
+
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
-    affordable, the difference certificate, or separated ratio intervals.
-    A pair no route settles is "inconclusive"; the certificate routes raise
+    n <= exact_cap, the difference certificate, separated ratio intervals,
+    or, last, exact comparison where the exact regime's rule holds
+    (t > big_t_threshold(n), n <= EXACT_REGIME_MAX_N), whose inner factors
+    are short.  A pair no route settles is "inconclusive"; the routes raise
     on no input with t >= 1 and n >= 0.  margin is the worst-case slack of
-    the winning method (log units for the ratio route, multiplier units for
-    the difference route)."""
+    the winning method (log units for the exact and ratio routes,
+    multiplier units for the difference route)."""
     if t < 1 or n < 0:
         raise ValueError("requires t >= 1 and n >= 0")
     if n <= exact_cap:
-        a = exact.tcore_count(t, n)
-        b = exact.tcore_count(t + 1, n)
-        margin = 0.0
-        if a > 0 and b > 0:
-            margin = exact.log_of_integer(b) - exact.log_of_integer(a)
-        return PairCertificate(
-            t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
-            detail={"c_t": str(a), "c_t1": str(b)},
-        )
-    from .asymptotics import certified_estimate, estimate_difference, log_interval
+        return _exact_certificate(t, n)
+    from .asymptotics import (
+        EXACT_REGIME_MAX_N,
+        big_t_threshold,
+        certified_estimate,
+        estimate_difference,
+        log_interval,
+    )
 
     if t >= 6 and n > t:
         est = estimate_difference(t, n - t)
@@ -449,6 +448,8 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
                 t=t, n=n, method="ratio", ok=True, equality=False, margin=margin,
                 detail={"regimes": (est_lo.regime, est_hi.regime)},
             )
+    if n <= EXACT_REGIME_MAX_N and t > big_t_threshold(n):
+        return _exact_certificate(t, n)
     return PairCertificate(
         t=t, n=n, method="inconclusive", ok=False, equality=False, margin=0.0, detail={},
     )

@@ -9,13 +9,14 @@ import pytest
 
 from tcore import exact
 from tcore.asymptotics import (
-    BIG_T_MAX_N,
+    EXACT_REGIME_MAX_N,
+    INTERVAL_PADDING,
     HypothesisError,
     big_t_threshold,
     certified_estimate,
     estimate,
-    estimate_big_t,
     estimate_difference,
+    estimate_exact,
     estimate_kappa,
     estimate_main,
     estimate_small_t,
@@ -144,29 +145,60 @@ def test_small_t_hypothesis_window():
             assert ty < 2.0 * math.pi / (5.0 * math.log(t))
 
 
-# --- big-t hybrid ----------------------------------------------------------------------------
+# --- exact regime (t above the big-t threshold) ---------------------------------------------
 
 def test_big_t_below_t():
-    est = estimate_big_t(30, 10)
+    est = estimate_exact(30, 10)
     assert est.log_value == exact.log_of_integer(42)
-    assert est.diagnostics["residual_scale_log"] is None
-    assert est.rel_error_bound is None
+    assert est.diagnostics["count"] == "42"
+    assert est.rel_error_bound == INTERVAL_PADDING
+    assert est.hypotheses_ok
 
 
 def test_big_t_reference_hypotheses():
-    est = estimate_big_t(600, 10_000)
+    est = estimate_exact(600, 10_000)
     assert est.hypotheses_ok
-    assert est.diagnostics["threshold"] == pytest.approx(big_t_threshold(10_000), rel=1e-12)
-    # t = 520 keeps the main term positive but sits below the threshold 538.6
-    assert not estimate_big_t(520, 10_000).hypotheses_ok
+    assert est.log_value == exact.log_of_integer(exact.tcore_count(600, 10_000))
+    # t = 520 sits below the threshold 538.6
+    assert big_t_threshold(10_000) == pytest.approx(538.59, abs=0.01)
+    with pytest.raises(HypothesisError):
+        estimate_exact(520, 10_000)
 
 
 def test_big_t_rejects_nonpositive_main_in_regime():
-    # p(40) < 10 p(30), and 40 >= 2*10: far outside the regime
-    with pytest.raises(ValueError):
-        estimate_big_t(10, 40)
-    with pytest.raises(ValueError):
-        estimate_big_t(400, 10_000)  # p(10000) ~ 178 p(9600), main < 0
+    # below the threshold the inner factor has no cost bound, and the exact
+    # regime refuses; there p(n) - t p(n-t) can be negative, as at (10, 40)
+    # and (400, 10000)
+    for t, n in ((6, 20), (10, 40), (400, 10_000)):
+        with pytest.raises(HypothesisError):
+            estimate_exact(t, n)
+    with pytest.raises(ValueError, match=f"exact regime cap {EXACT_REGIME_MAX_N}"):
+        estimate_exact(10**8, 10**7)
+
+
+def test_exact_regime_matches_bruteforce():
+    for n in range(29):
+        lowest = max(math.floor(big_t_threshold(n)) + 1, 2)
+        for t in sorted({lowest, lowest + 1, n // 2 + 1, n, n + 1}):
+            if t < lowest:
+                continue
+            est = estimate_exact(t, n)
+            count = exact.tcore_count_bruteforce(t, n)
+            assert est.diagnostics["count"] == str(count), (t, n)
+            if count:
+                assert est.hypotheses_ok and est.log_value == exact.log_of_integer(count)
+            else:  # t = 2 or 3: no log-space interval
+                assert not est.hypotheses_ok and est.log_value == -math.inf
+
+
+def test_exact_regime_matches_closed_form():
+    for n in (100, 1000, 5000, 20_000):
+        lowest = max(math.floor(big_t_threshold(n)), n // 3) + 1  # in regime, n < 3t
+        for t in (lowest, lowest + 1, n // 2, n - 1, n + 5):
+            count = exact.tcore_count_closed_small_range(t, n)
+            est = estimate_exact(t, n)
+            assert est.diagnostics["count"] == str(count), (t, n)
+            assert est.log_value == exact.log_of_integer(count)
 
 
 # --- kappa heuristic ------------------------------------------------------------------------
@@ -211,7 +243,7 @@ def test_select_regime_examples():
     assert select_regime(50, 100_000) == "small_t"
     assert select_regime(1000, 60_000) == "main"
     assert select_regime(6, 20) == "kappa_heuristic"  # nothing certifies
-    assert select_regime(600, 10_000) == "big_t_hybrid"
+    assert select_regime(600, 10_000) == "exact"
 
 
 def test_certified_estimate_chooser():
@@ -232,19 +264,44 @@ TOTAL_NS = sorted({1, 2, 5, 20500, 25000} | {round(10 ** (k / 3)) for k in range
 
 
 def test_total_on_domain_grid():
-    """No exception anywhere on the grid, apart from the big-t cap."""
+    """No exception anywhere on the grid, apart from the exact regime's cap."""
     for t in TOTAL_TS:
         for n in TOTAL_NS:
             solve_saddle(t, n)
             estimate_main(t, n)
             estimate_difference(t, n)
             regime = select_regime(t, n)
-            if regime == "big_t_hybrid" and n > BIG_T_MAX_N:
-                with pytest.raises(ValueError, match="big-t hybrid cap"):
+            if regime == "exact" and n > EXACT_REGIME_MAX_N:
+                with pytest.raises(ValueError, match="exact regime cap"):
                     estimate(t, n)
             else:
                 assert estimate(t, n).regime == regime
             certify_pair(t, n, exact_cap=0)
+
+
+def test_exact_regime_on_domain_grid():
+    """The exact regime answers wherever neither certified regime holds and
+    t > 1.5 (sqrt 6 / 2 pi) sqrt(n) log(n), at 477 grid points with
+    n <= 25000, and its interval holds the exact log."""
+    points = 0
+    for t in TOTAL_TS:
+        for n in TOTAL_NS:
+            if n > 25_000 or certified_estimate(t, n) is not None:
+                continue
+            if t <= 1.5 * math.sqrt(6.0) / (2.0 * math.pi) * math.sqrt(n) * math.log(n):
+                continue
+            points += 1
+            assert select_regime(t, n) == "exact", (t, n)
+            est = estimate_exact(t, n)
+            count = exact.tcore_count(t, n)
+            if count == 0:  # (2, 2)
+                assert not est.hypotheses_ok
+                continue
+            lg = exact.log_of_integer(count)
+            assert est.log_value == lg, (t, n)
+            lo, hi = log_interval(est)
+            assert lo < lg < hi, (t, n)
+    assert points == 477
 
 
 def test_estimate_dispatch():

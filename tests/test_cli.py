@@ -1,6 +1,7 @@
 """CLI surface tests: JSON-lines records, exit codes, report files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import tcore
-from tcore.cli import main
+from tcore.cli import _REGIME_FLAGS, main
 from tcore.selftest import CheckResult
 
 
@@ -114,21 +115,45 @@ def test_estimate_auto_regimes(capsys):
     assert code == 0
     assert recs[-1]["result"]["regime"] == "small_t"
     assert recs[-1]["result"]["rel_error_bound"] < 0.005
+    code, recs = run_cli(capsys, "estimate", "--t", "539", "--n", "10000")
+    assert code == 0
+    result = recs[-1]["result"]
+    assert result["regime"] == "exact"
+    assert recs[-1]["flags"]["certified"] is True
+    count = int(result["diagnostics"]["count"])
+    assert count == tcore.tcore_count(539, 10000)
+    lo, hi = result["log_interval"]
+    assert lo < tcore.log_of_integer(count) < hi
 
 
 def test_estimate_forced_hypothesis_failure_exit_4(capsys):
-    code, recs = run_cli(capsys, "estimate", "--t", "6", "--n", "20", "--regime", "main")
-    assert code == 4
-    assert recs[-1]["kind"] == "hypothesis"
+    # exact: t = 6 is below its threshold 7.83 at n = 20
+    for regime in ("main", "exact"):
+        code, recs = run_cli(capsys, "estimate", "--t", "6", "--n", "20", "--regime", regime)
+        assert code == 4
+        assert recs[-1]["kind"] == "hypothesis"
 
 
 def test_estimate_big_t_beyond_cap_exit_2(capsys):
-    # auto-selects the big-t hybrid (the main regime's roundoff budget fails
+    # auto-selects the exact regime (the main regime's roundoff budget fails
     # there), whose exact p-series would need days
     code, recs = run_cli(capsys, "estimate", "--t", "100000000", "--n", "10000000")
     assert code == 2
     assert recs[-1]["kind"] == "usage"
-    assert "big-t hybrid cap" in recs[-1]["error"]
+    assert "exact regime cap 100000" in recs[-1]["error"]
+
+
+@pytest.mark.parametrize("t,n", [(539, 10000), (50, 100000), (1000, 60000), (6, 20), (2, 2)])
+def test_certified_estimate_carries_finite_interval(capsys, t, n):
+    for regime in sorted(_REGIME_FLAGS):
+        code, recs = run_cli(
+            capsys, "estimate", "--t", str(t), "--n", str(n), "--regime", regime
+        )
+        assert code in (0, 2, 4), (regime, recs)
+        record = recs[-1]
+        if code == 0 and record["flags"]["certified"]:
+            lo, hi = record["result"]["log_interval"]
+            assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (regime, record)
 
 
 def test_count_beyond_partition_cap_exit_2(capsys):
@@ -220,18 +245,6 @@ def test_unwritable_output_path_exit_2(capsys, tmp_path):
         assert recs[-1]["kind"] == "usage"
         assert argv[-1] in recs[-1]["error"]
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("value", ["abc", "-4", "0", "2.5"])
-def test_malformed_thread_env_exit_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("TCORE_THREADS", value)
-    code, recs = run_cli(capsys, "verify-stanton", "--max-n", "40")
-    assert code == 2
-    assert recs[-1]["kind"] == "usage"
-    assert "TCORE_THREADS" in recs[-1]["error"]
-    # an explicit --threads never reads the variable
-    code, recs = run_cli(capsys, "verify-stanton", "--max-n", "40", "--threads", "1")
-    assert code == 0
 
 
 def test_kappa_command(capsys):

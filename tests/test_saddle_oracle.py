@@ -186,4 +186,4 @@ def test_regime_changes_at_the_float_safe_boundary():
     exponent = 2.0 * math.pi * est.diagnostics["shifted_index"] * est.diagnostics["y"]
     assert ROUNDOFF_REL * exponent > INTERVAL_PADDING
     assert not est.hypotheses_ok
-    assert select_regime(10**6, 10**6) == "big_t_hybrid"
+    assert select_regime(10**6, 10**6) == "exact"
