@@ -2,14 +2,15 @@
 
 Every invocation emits line-delimited JSON records on stdout: exact integers
 as decimal strings, log-space values as floats rounded to 15 significant
-digits.  Exit codes: 0 ok, 2 usage, 3 solver, numeric or out-of-memory
-failure, 4 hypothesis failure, 5 verification violation or failed self-test
-check.
+digits, and a non-finite value (the log of a zero count) as null.  Exit
+codes: 0 ok, 2 usage, 3 solver, numeric or out-of-memory failure, 4
+hypothesis failure, 5 verification violation or failed self-test check.
 """
 
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 
@@ -32,9 +33,10 @@ _REGIME_FLAGS = {
 
 
 def _round15(value):
-    """Floats to 15 significant digits (idempotent under re-serialization)."""
+    """Floats to 15 significant digits (idempotent under re-serialization);
+    a non-finite float becomes None, JSON null, which strict parsers accept."""
     if isinstance(value, float):
-        return float(f"{value:.15g}")
+        return float(f"{value:.15g}") if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _round15(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -218,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact c_t(N), or the full series to --max-n")
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--n", type=_nonneg_int, default=None)
-    p.add_argument("--max-n", type=_nonneg_int, default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=_nonneg_int)
+    which.add_argument("--max-n", type=_nonneg_int)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("saddle", help="solve the saddle equation for (t, N)")
@@ -266,8 +269,6 @@ def _loaded_error(module: str, name: str):
 def main(argv=None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv)
-    if opts.command == "count" and opts.n is None and opts.max_n is None:
-        parser.error("count requires --n or --max-n")
     try:
         return opts.fn(opts)
     except _loaded_error("saddle", "SolverError") as exc:

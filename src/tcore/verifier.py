@@ -9,6 +9,7 @@ by (t, N).  The certificates import the estimators (and fractions) when they
 first run, so the scan never loads them.
 """
 
+import math
 import os
 import time
 from itertools import count
@@ -22,15 +23,14 @@ EXACT_PAIR_CAP = 20_000  # n up to which certify_pair just compares exact counts
 
 
 class VerificationReport(NamedTuple):
-    """Result of an exhaustive scan.  The list fields default to an empty
-    tuple, so default-built reports share nothing mutable; verify_exact
-    passes lists of its own."""
+    """Result of an exhaustive scan.  blocks defaults to an empty tuple, so
+    default-built reports share nothing mutable; verify_exact passes a list
+    of its own."""
 
     max_n: int
     max_t: Optional[int]
     violations: list  # (t, n) with c_t(n) > c_{t+1}(n)
     equalities: list  # (t, n) with c_t(n) = c_{t+1}(n), 4 <= t < n-1
-    certified_pairs: list = ()
     pairs_checked: int = 0
     workers: int = 1
     elapsed_s: float = 0.0
@@ -47,7 +47,6 @@ class VerificationReport(NamedTuple):
             "max_t": self.max_t,
             "violations": [list(v) for v in self.violations],
             "equalities": [list(e) for e in self.equalities],
-            "certified_pairs": list(self.certified_pairs),
             "pairs_checked": self.pairs_checked,
             "workers": self.workers,
             "elapsed_s": self.elapsed_s,
@@ -335,7 +334,7 @@ def verify_exact(
         t_hi = min(t_hi, max_t)
     if t_hi < 4:
         return VerificationReport(
-            max_n=max_n, max_t=max_t, violations=[], equalities=[], certified_pairs=[],
+            max_n=max_n, max_t=max_t, violations=[], equalities=[],
             workers=1, elapsed_s=time.monotonic() - started, blocks=[],
         )
     cpus = _usable_cpus()
@@ -355,7 +354,6 @@ def verify_exact(
         max_t=max_t,
         violations=sorted(violations),
         equalities=sorted(equalities),
-        certified_pairs=[],
         pairs_checked=pairs,
         closed_form_pairs=closed,
         workers=workers,
@@ -393,9 +391,9 @@ def _exact_certificate(t: int, n: int) -> PairCertificate:
     """The pair (t, t+1) at n settled by comparing the exact counts."""
     a = exact.tcore_count(t, n)
     b = exact.tcore_count(t + 1, n)
-    margin = 0.0
-    if a > 0 and b > 0:
-        margin = exact.log_of_integer(b) - exact.log_of_integer(a)
+    # log(b/a) from the integers: the quotient (b - a) / a rounds correctly,
+    # so counts that agree to more digits than a double holds keep a margin
+    margin = math.log1p((b - a) / a) if a > 0 and b > 0 else 0.0
     return PairCertificate(
         t=t, n=n, method="exact", ok=a <= b, equality=a == b, margin=margin,
         detail={"c_t": str(a), "c_t1": str(b)},

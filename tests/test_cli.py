@@ -13,10 +13,14 @@ from tcore.cli import _REGIME_FLAGS, main
 from tcore.selftest import CheckResult
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
-    records = [json.loads(line) for line in out.splitlines()]
+    records = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
     return code, records
 
 
@@ -53,9 +57,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--t", "0", "--n", "5"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--t", "5"])
-    assert exc.value.code == 2
+    for argv in (["count", "--t", "5"], ["count", "--t", "5", "--n", "10", "--max-n", "12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--t", "5", "--n", "10", "--regime", "bogus"])
     assert exc.value.code == 2
@@ -124,6 +129,11 @@ def test_estimate_auto_regimes(capsys):
     assert count == tcore.tcore_count(539, 10000)
     lo, hi = result["log_interval"]
     assert lo < tcore.log_of_integer(count) < hi
+    # c_2(2) = 0: its log value -inf is printed as null
+    code, recs = run_cli(capsys, "estimate", "--t", "2", "--n", "2")
+    assert code == 0
+    assert recs[-1]["result"]["log_value"] is None
+    assert recs[-1]["flags"]["certified"] is False
 
 
 def test_estimate_forced_hypothesis_failure_exit_4(capsys):

@@ -116,36 +116,104 @@ def test_table_rows_match_closed_forms():
         2: (0, (-2, 1)),
         3: (0, (6, -6, 1)),
         4: (0, (-24, 36, -12, 1)),
+        5: (0, (120, -240, 120, -20, 1)),
     }
-    rows_deriv = {
-        0: (1, 1),
-        1: (0, 0, 1),
-        2: (0, 0, -3, 1),
-        3: (0, 0, 12, -8, 1),
-        4: (0, 0, -60, 60, -15, 1),
-    }
-    for k in range(5):
+    for k, (low, coeffs) in rows_fn.items():
         tab = expansion_polynomials(k)
-        low, coeffs = rows_fn[k]
         assert tab.fn_low == low
         assert tab.fn_coeffs == tuple(Fraction(c) for c in coeffs)
-        assert tab.deriv_coeffs == rows_deriv[k]
+
+
+def _poly_add(acc, shift, scale, poly):
+    """acc += scale * r^shift * poly, polynomials as {exponent: coefficient}."""
+    for e, c in poly.items():
+        acc[e + shift] = acc.get(e + shift, 0) + scale * c
 
 
 def test_table_derivative_identity():
-    # deriv polynomial = r^2 (fn - fn') exactly, through k = 8
-    from fractions import Fraction
-
+    # the n-sum of D_k' on the inverted branch: r ((k+1) F_k + F_{k+1}) equals
+    # r^2 (F_k - F_k') exactly, through k = 8
+    tabs = [expansion_polynomials(k) for k in range(10)]
+    f = [dict(enumerate(tab.fn_coeffs, start=tab.fn_low)) for tab in tabs]
     for k in range(9):
-        tab = expansion_polynomials(k)
-        f = dict(enumerate(tab.fn_coeffs, start=tab.fn_low))
         lhs = {}
-        for e, c in f.items():
-            lhs[e + 2] = lhs.get(e + 2, Fraction(0)) + c
-            lhs[e + 1] = lhs.get(e + 1, Fraction(0)) - e * c
-        lhs = {e: c for e, c in lhs.items() if c}
-        rhs = {e: Fraction(c) for e, c in enumerate(tab.deriv_coeffs) if c}
-        assert lhs == rhs
+        _poly_add(lhs, 1, k + 1, f[k])
+        _poly_add(lhs, 1, 1, f[k + 1])
+        rhs = {}
+        _poly_add(rhs, 2, 1, f[k])
+        _poly_add(rhs, 1, -1, {e: e * c for e, c in f[k].items()})  # r^2 F'
+        assert {e: c for e, c in lhs.items() if c} == {e: c for e, c in rhs.items() if c}
+
+
+# A separate expansion of D_k', the oracle for eta_log_deriv_prime (which reads
+# the n-sums of D_k and D_{k+1}): on the inverted branch sigma(n) e(-n/z) is
+# multiplied by G_k(r) / (2 pi i n), r = 2 pi i n / z, with
+# G_k = (r-k+1) G_{k-1} - r G_{k-1}' from G_0 = r + 1.
+_G_ROWS = {
+    0: (1, 1),
+    1: (0, 0, 1),
+    2: (0, 0, -3, 1),
+    3: (0, 0, 12, -8, 1),
+    4: (0, 0, -60, 60, -15, 1),
+}
+
+
+def _oracle_sum(term):
+    total, small, n = 0j, 0, 0
+    while small < 2:
+        n += 1
+        value = term(n)
+        total += value
+        small = small + 1 if abs(value) < 1e-18 * (abs(total) + 1.0) else 0
+    return total
+
+
+def _prime_oracle(k, z, branch):
+    if branch == "q" or (branch == "auto" and z.imag >= 1.0):
+        q = e_of(z)
+
+        def term(n):
+            u = 2j * PI * n * z
+            return (u ** (k + 1) + (k + 1) * u**k) * sigma(n) / (2j * PI * n) * q**n
+
+        total = _oracle_sum(term)
+        return total - z / 12.0 if k <= 1 else total
+    w = e_of(-1.0 / z)
+
+    def term(n):
+        r = 2j * PI * n / z
+        poly = sum(c * r**e for e, c in enumerate(_G_ROWS[k]))
+        return poly * sigma(n) / (2j * PI * n) * w**n
+
+    total = _oracle_sum(term)
+    if k == 0:
+        return total + (1.0 + cmath.log(-1j * z)) / (4j * PI)
+    return total + (-1) ** (k - 1) * math.factorial(k - 1) / (4j * PI)
+
+
+_ORACLE_POINTS = (
+    [(complex(0.0, 10.0 ** (-3 + 0.1 * i)), "auto") for i in range(41)]  # 1e-3..10
+    + [
+        (complex(x, y), branch)
+        for x, y in ((0.0, 0.9), (0.0, 1.0), (0.0, 1.1), (0.25, 0.95))
+        for branch in ("q", "inverted")
+    ]
+    + [
+        (z, "auto")
+        for z in (
+            complex(0.1, 0.7), -1.0 / complex(0.1, 0.7), complex(0.25, 0.95),
+            complex(3e-4, 1e-3), complex(3e-3, 1e-2), complex(0.03, 0.1),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_prime_matches_second_expansion_oracle(k):
+    for z, branch in _ORACLE_POINTS:
+        want = _prime_oracle(k, z, branch)
+        got = eta_log_deriv_prime(k, z, branch=branch)
+        assert abs(got - want) <= 1e-13 * abs(want), (k, z, branch)
 
 
 # --- dual expansions ---------------------------------------------------------------------

@@ -28,10 +28,10 @@ RECORDS = [
     ),
     (
         PolynomialTable,
-        ("k", "fn_low", "fn_coeffs", "deriv_coeffs"),
+        ("k", "fn_low", "fn_coeffs"),
         {},
-        dict(k=0, fn_low=-1, fn_coeffs=(Fraction(1),), deriv_coeffs=(1, 1)),
-        "PolynomialTable(k=0, fn_low=-1, fn_coeffs=(Fraction(1, 1),), deriv_coeffs=(1, 1))",
+        dict(k=0, fn_low=-1, fn_coeffs=(Fraction(1),)),
+        "PolynomialTable(k=0, fn_low=-1, fn_coeffs=(Fraction(1, 1),))",
     ),
     (
         SaddleResult,
@@ -67,19 +67,18 @@ RECORDS = [
     (
         VerificationReport,
         (
-            "max_n", "max_t", "violations", "equalities", "certified_pairs",
-            "pairs_checked", "workers", "elapsed_s", "blocks", "closed_form_pairs",
+            "max_n", "max_t", "violations", "equalities", "pairs_checked", "workers",
+            "elapsed_s", "blocks", "closed_form_pairs",
         ),
         {
-            "certified_pairs": (), "pairs_checked": 0, "workers": 1, "elapsed_s": 0.0,
-            "blocks": (), "closed_form_pairs": 0,
+            "pairs_checked": 0, "workers": 1, "elapsed_s": 0.0, "blocks": (),
+            "closed_form_pairs": 0,
         },
-        dict(max_n=12, max_t=None, violations=[], equalities=[(5, 10)], certified_pairs=[],
-             pairs_checked=3, workers=2, elapsed_s=0.5, blocks=[[4, 10, 0.25]],
-             closed_form_pairs=1),
+        dict(max_n=12, max_t=None, violations=[], equalities=[(5, 10)], pairs_checked=3,
+             workers=2, elapsed_s=0.5, blocks=[[4, 10, 0.25]], closed_form_pairs=1),
         "VerificationReport(max_n=12, max_t=None, violations=[], equalities=[(5, 10)], "
-        "certified_pairs=[], pairs_checked=3, workers=2, elapsed_s=0.5, "
-        "blocks=[[4, 10, 0.25]], closed_form_pairs=1)",
+        "pairs_checked=3, workers=2, elapsed_s=0.5, blocks=[[4, 10, 0.25]], "
+        "closed_form_pairs=1)",
     ),
     (
         PairCertificate,
@@ -166,8 +165,6 @@ def test_default_containers_reject_writes():
         cert.detail["c_t"] = "12"
     with pytest.raises(AttributeError):
         report.blocks.append([4, 5, 0.0])
-    with pytest.raises(AttributeError):
-        report.certified_pairs.append((4, 5))
 
 
 def test_properties_and_to_dict():
@@ -179,5 +176,5 @@ def test_properties_and_to_dict():
     # to_dict gives fresh, JSON-ready containers, also from the read-only defaults
     for out in (report.to_dict(), cert.to_dict()):
         json.dumps(out)
-    assert report.to_dict()["blocks"] == [] and report.to_dict()["certified_pairs"] == []
+    assert report.to_dict()["blocks"] == []
     assert type(cert.to_dict()["detail"]) is dict

@@ -74,8 +74,10 @@ def test_selftest_runs_without_scipy():
         "import sys; sys.modules['scipy'] = None; "
         "from tcore.selftest import run_checks; "
         "failed = [r for r in run_checks('quick') if not r.ok]; "
-        "assert not failed, failed"
+        "assert not failed, failed; "
+        "assert 'dataclasses' not in sys.modules"  # its records are named tuples
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+

@@ -433,6 +433,17 @@ def test_certify_pair_exact_strict():
     assert cert.margin > 0.0
 
 
+def test_certify_pair_exact_margin_of_close_counts():
+    # the counts differ by 119850 and agree to ~100 digits: a difference of
+    # two double logs reads 0.0 here
+    cert = certify_pair(9990, 10000)
+    a, b = int(cert.detail["c_t"]), int(cert.detail["c_t1"])
+    assert cert.method == "exact" and cert.ok and not cert.equality
+    assert b - a == 119850
+    assert cert.margin > 0.0
+    assert cert.margin == pytest.approx((b - a) / a, rel=1e-12)
+
+
 def test_certify_pair_ratio_route():
     cert = certify_pair(50, 100_000)
     assert cert.method == "ratio"
