@@ -7,21 +7,21 @@ asymptotics, produces log-space estimates with machine-checkable error
 intervals, and verifies the adjacent-t monotonicity c_t(N) <= c_{t+1}(N)
 both exhaustively and by certified interval separation.
 
-Exact counts and the exhaustive scan load with the package.  The
-certified-estimate modules (modular, saddle, asymptotics) load on the first
-access of one of their names or of the module itself (PEP 562).
+``import tcore`` loads no submodule.  Each one loads on the first access of
+one of its names or of the module itself (PEP 562), so a query loads only
+what it runs: an exact count the kernels and exact, the scan the kernels and
+verifier, a certified estimate modular, saddle and asymptotics, and a pair
+certificate certify and, when it compares exact counts, exact as well.
 """
 
 __version__ = "0.1.0"
 
 import sys
 
-from . import exact, verifier
-from .backend import BACKEND
-
-# Public names by defining submodule: the one list behind __all__, the eager
-# bindings and the lazy lookups.
+# Public names by defining submodule: the one list behind __all__ and the
+# lazy lookups.
 _EXPORTS = {
+    "backend": ("BACKEND",),
     "exact": (
         "PartitionSeries",
         "hook_lengths",
@@ -32,13 +32,8 @@ _EXPORTS = {
         "tcore_count_closed_small_range",
         "tcore_counts",
     ),
-    "verifier": (
-        "PairCertificate",
-        "VerificationReport",
-        "certify_interval_containment",
-        "certify_pair",
-        "verify_exact",
-    ),
+    "verifier": ("VerificationReport", "verify_exact"),
+    "certify": ("PairCertificate", "certify_interval_containment", "certify_pair"),
     "modular": (
         "PolynomialTable",
         "eta_log",
@@ -71,38 +66,27 @@ _EXPORTS = {
         "select_regime",
     ),
 }
-_LAZY_MODULES = ("modular", "saddle", "asymptotics")
 
-globals().update(
-    (name, getattr(sys.modules[f"{__name__}.{module}"], name))
-    for module in ("exact", "verifier")
-    for name in _EXPORTS[module]
-)
+# A name maps to its module's entry in sys.modules.  It is looked up on every
+# access and never bound here, so a function that a tracer swaps in (and out)
+# of its module is what tcore.<name> reads at that moment.
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# A lazy name maps to its module's entry in sys.modules.  It is looked up on
-# every access and never bound here, so a function that a tracer swaps in
-# (and out) of its module is what tcore.<name> reads at that moment.
-_LAZY = {
-    name: f"{__name__}.{module}" for module in _LAZY_MODULES for name in _EXPORTS[module]
-}
-
-__all__ = sorted(["BACKEND", *(name for names in _EXPORTS.values() for name in names)])
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        if name not in _LAZY_MODULES:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        module = f"{__name__}.{name}"
-        __import__(module)  # binds the submodule here: no second call for it
-        return sys.modules[module]
-    try:
-        return getattr(sys.modules[module], name)
-    except (KeyError, AttributeError):  # not loaded yet, or loading in another thread
-        __import__(module)
-        return getattr(sys.modules[module], name)
+    owner = _LAZY.get(name)
+    if owner is None and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{owner or name}"
+    # returns at once for a loaded module and waits out a load that another
+    # thread began, so no thread reads a half-initialized module; the import
+    # binds the submodule here, so its own name never comes back this way
+    __import__(module)
+    loaded = sys.modules[module]
+    return loaded if owner is None else getattr(loaded, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
+    return sorted({*globals(), *_LAZY, *_EXPORTS})

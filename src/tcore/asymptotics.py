@@ -16,7 +16,6 @@ interest.
 import math
 from typing import NamedTuple, Optional
 
-from . import exact
 from .modular import eta_quotient_log
 from .saddle import (
     INTERVAL_PADDING,
@@ -221,6 +220,8 @@ def estimate_exact(t: int, n: int) -> CertifiedEstimate:
         raise HypothesisError(
             f"exact regime needs t > {big_t_threshold(n):.6g} at n = {n}, not t = {t}"
         )
+    from . import exact
+
     count = exact.tcore_count(t, n)
     certified = count > 0
     return CertifiedEstimate(

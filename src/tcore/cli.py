@@ -14,8 +14,7 @@ import math
 import sys
 import time
 
-from . import __version__, exact
-from .verifier import verify_exact
+from . import __version__
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +67,8 @@ def _open_output(path):
 
 
 def _cmd_count(opts) -> int:
+    from . import exact
+
     started = time.monotonic()
     if opts.max_n is not None:
         series = exact.tcore_counts(opts.t, opts.max_n)
@@ -123,6 +124,8 @@ def _cmd_estimate(opts) -> int:
 
 
 def _cmd_verify_stanton(opts) -> int:
+    from .verifier import verify_exact
+
     started = time.monotonic()
     with _open_output(opts.report) as fh:  # before the scan: a bad path costs nothing
         report = verify_exact(

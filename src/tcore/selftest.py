@@ -505,7 +505,7 @@ def check_minor_arc() -> CheckResult:
 
 
 def _containment(name: str, t: int, n: int, regime: str) -> CheckResult:
-    from .verifier import certify_interval_containment
+    from .certify import certify_interval_containment
 
     contained, margin = certify_interval_containment(t, n, regime)
     return CheckResult(name, contained, f"margin {margin:.4f}")

@@ -350,8 +350,10 @@ def test_exact_counts_and_scan_leave_certified_modules_unloaded():
         "import sys\n"
         f"certified = {_CERTIFIED_MODULES!r}\n"
         "import tcore\n"
-        "assert tcore.tcore_count(60, 2000) > 0\n"
         "assert tcore.verify_exact(60, workers=1).ok\n"
+        "loaded = [m for m in ('tcore.exact', 'tcore.certify') if m in sys.modules]\n"
+        "assert not loaded, loaded  # the scan reads the kernels alone\n"
+        "assert tcore.tcore_count(60, 2000) > 0\n"
         "loaded = [m for m in certified if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "assert tcore.estimate(1000, 60000).hypotheses_ok\n"
@@ -369,6 +371,7 @@ def test_cli_count_and_scan_leave_certified_modules_unloaded():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['count', '--t', '5', '--n', '10']) == 0\n"
         "    assert main(['count', '--t', '5', '--max-n', '50']) == 0\n"
+        "    assert 'tcore.verifier' not in sys.modules\n"
         "    assert main(['verify-stanton', '--max-n', '60', '--threads', '1']) == 0\n"
         "loaded = [m for m in certified if m in sys.modules]\n"
         "assert not loaded, loaded\n"
@@ -376,11 +379,99 @@ def test_cli_count_and_scan_leave_certified_modules_unloaded():
     _run_python(code)
 
 
+def test_import_loads_no_submodule():
+    code = (
+        "import sys\n"
+        "import tcore\n"
+        "loaded = [m for m in sys.modules if m.startswith('tcore.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    _run_python(code)
+
+
+def test_certified_mix_leaves_exact_stack_unloaded():
+    # estimates, a pair certificate past its exact route and kappa constants
+    # run on the estimators alone: no kernels, no exact counts, no scan
+    code = (
+        "import sys\n"
+        "import tcore\n"
+        "assert tcore.estimate(1000, 60000).hypotheses_ok\n"
+        "assert tcore.estimate(50, 200000).hypotheses_ok\n"
+        "assert tcore.certify_pair(2000, 100000).ok\n"
+        "assert tcore.kappa_constants(24.0).A > 0\n"
+        "stack = ('tcore.exact', 'tcore._series_py', 'tcore.backend', 'tcore.verifier')\n"
+        "loaded = [m for m in stack if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert 'tcore.certify' in sys.modules\n"
+    )
+    _run_python(code)
+
+
+def test_cli_estimate_leaves_exact_stack_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "from tcore.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['estimate', '--t', '1000', '--n', '60000']) == 0\n"
+        "loaded = [m for m in ('tcore.exact', 'tcore.verifier') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    _run_python(code)
+
+
+def test_verifier_forwards_the_certificate_names():
+    code = (
+        "from tcore import certify, verifier\n"
+        "for name in ('EXACT_PAIR_CAP', 'PairCertificate', 'certify_pair',\n"
+        "             'certify_interval_containment'):\n"
+        "    assert getattr(verifier, name) is getattr(certify, name), name\n"
+        "from tcore.verifier import certify_pair\n"
+        "assert certify_pair is certify.certify_pair\n"
+        "assert not hasattr(verifier, 'no_such_name')  # AttributeError, nothing else\n"
+    )
+    _run_python(code)
+
+
+def test_first_access_from_many_threads():
+    # eight threads reach the lazy names at once, each starting with a
+    # different query kind, so modules load while others read them
+    code = (
+        "import sys, threading\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "import tcore\n"
+        "queries = (\n"
+        "    lambda: tcore.tcore_count(60, 2000),\n"
+        "    lambda: tcore.verify_exact(60, workers=1)[:4],\n"
+        "    lambda: tcore.estimate(1000, 60000),\n"
+        ")\n"
+        "barrier = threading.Barrier(8)\n"
+        "results, errors = {}, []\n"
+        "def run(i):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        results[i] = [queries[(i + k) % 3]() for k in range(3)]\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]\n"
+        "for th in threads:\n"
+        "    th.start()\n"
+        "for th in threads:\n"
+        "    th.join(timeout=120)\n"
+        "    assert not th.is_alive()\n"
+        "assert not errors, errors\n"
+        "serial = [q() for q in queries]\n"
+        "for i, got in results.items():\n"
+        "    assert got == [serial[(i + k) % 3] for k in range(3)], i\n"
+        "assert len(results) == 8\n"
+    )
+    _run_python(code)
+
+
 def test_lazy_names_resolve_to_their_submodules():
     code = (
         "import tcore\n"
-        "from tcore import asymptotics, exact, modular, saddle, verifier\n"
-        "owners = (asymptotics, exact, modular, saddle, verifier, tcore.backend)\n"
+        "from tcore import asymptotics, certify, exact, modular, saddle, verifier\n"
+        "owners = (asymptotics, certify, exact, modular, saddle, verifier, tcore.backend)\n"
         "listed = dir(tcore)\n"
         "for name in tcore.__all__:\n"
         "    assert name in listed, name\n"
@@ -406,7 +497,7 @@ def test_lazy_names_follow_a_tracer_install_and_uninstall(tmp_path):
         f"sys.path.insert(0, {perfbench!r})\n"
         "from pathlib import Path\n"
         "import layers, tcore\n"
-        "tcore.certify_pair(2000, 100000)  # loads asymptotics through verifier\n"
+        "tcore.certify_pair(2000, 100000)  # loads asymptotics through certify\n"
         f"tracer = layers.Tracer(tcore, Path({str(tmp_path)!r}))\n"
         "tracer.install()\n"
         "tcore.estimate(1000, 60000)\n"
