@@ -27,6 +27,7 @@ from .saddle import (
 )
 
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
+SADDLE_MIN_T = 1000  # main and difference need min(t, 1/y) >= this, so t >= it
 # Largest n the exact regime accepts: it grows the exact p-series to n, a
 # pure-Python bignum job of several seconds at this size that grows
 # superlinearly beyond it.
@@ -86,21 +87,28 @@ def _saddle_diagnostics(res: SaddleResult) -> dict:
 def estimate_main(t: int, n: int) -> CertifiedEstimate:
     """Saddle-point main term with the explicit 3.5/curvature error bound.
 
-    Certified when min(t, 1/y) >= 1000, the scaled tilt |drift| < 2/25
+    Certified when min(t, 1/y) >= SADDLE_MIN_T, the scaled tilt |drift| < 2/25
     (automatic at the solved saddle, where the residual vanishes), and the
     exponent 2 pi M y, which cancels against the eta quotient, is small
     enough that its rounding stays within the padding
-    (ROUNDOFF_REL * 2 pi M y <= INTERVAL_PADDING).
+    (ROUNDOFF_REL * 2 pi M y <= INTERVAL_PADDING).  Where the curvature
+    rounds to <= 0 (n vast against t) log_value is nan and nothing is
+    certified.
     """
     res = solve_saddle(t, n)
     y = res.y
     d2_diff = res.curvature * y  # = D_2(iy) - D_2(ity)
+    if not d2_diff > 0.0:
+        return CertifiedEstimate(
+            log_value=math.nan, rel_error_bound=math.inf, regime="main",
+            hypotheses_ok=False, diagnostics=_saddle_diagnostics(res),
+        )
     log_ft = eta_quotient_log(complex(0.0, y), t).real
     exponent = 2.0 * math.pi * res.shifted_index * y
     log_value = 1.5 * math.log(y) + exponent + log_ft - 0.5 * math.log(d2_diff)
     rel = 3.5 * y / d2_diff + INTERVAL_PADDING
     hyp = (
-        _holds(min(t, 1.0 / y), 1000.0)
+        _holds(min(t, 1.0 / y), SADDLE_MIN_T)
         and abs(res.drift) < 2.0 / 25.0
         and ROUNDOFF_REL * exponent <= INTERVAL_PADDING
     )
@@ -119,7 +127,7 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
         c_{t+1}(n+t) - c_t(n+t)  in  c_t(n) * [center - E, center + E],
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
-    saddle ordinate for (t, n).  Certified when min(t, 1/y) >= 1000,
+    saddle ordinate for (t, n).  Certified when min(t, 1/y) >= SADDLE_MIN_T,
     t y >= 1/2, and y is within the solver's guarantees: its relative
     rounding, which grows with (t y)^2, stays within the padding
     (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
@@ -132,7 +140,7 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
     center = 2.0 * math.pi * ty - 1.0
     halfwidth = ty * (705.0 * y + 120.0 * ty * math.exp(-2.0 * math.pi * ty))
     hyp = (
-        _holds(min(t, 1.0 / y), 1000.0)
+        _holds(min(t, 1.0 / y), SADDLE_MIN_T)
         and _holds(ty, 0.5)
         and res.within_guarantees
     )
@@ -256,10 +264,10 @@ def certified_estimate(t: int, n: int) -> Optional[CertifiedEstimate]:
     """The certified single-point estimate at (t, n): small_t when its
     hypotheses hold, else main when its hypotheses hold, else None (also
     outside t >= 2, n >= 1, where neither regime applies)."""
-    if t < 2 or n < 1:
-        return None
-    if small_t_hypotheses(t, n):
+    if small_t_hypotheses(t, n):  # false outside t >= 8, n >= 1
         return estimate_small_t(t, n)
+    if t < SADDLE_MIN_T or n < 1:  # main's min(t, 1/y) fails, or there is no saddle
+        return None
     est = estimate_main(t, n)
     return est if est.hypotheses_ok else None
 

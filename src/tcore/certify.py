@@ -56,26 +56,27 @@ def _exact_certificate(t: int, n: int) -> PairCertificate:
 
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
-    n <= exact_cap, the difference certificate, separated ratio intervals,
-    or, last, exact comparison where the exact regime's rule holds
-    (t > big_t_threshold(n), n <= EXACT_REGIME_MAX_N), whose inner factors
-    are short.  A pair no route settles is "inconclusive"; the routes raise
-    on no input with t >= 1 and n >= 0.  margin is the worst-case slack of
-    the winning method (log units for the exact and ratio routes,
-    multiplier units for the difference route)."""
+    n <= exact_cap, the difference certificate (for t >= SADDLE_MIN_T),
+    separated ratio intervals, or, last, exact comparison where the exact
+    regime's rule holds (t > big_t_threshold(n), n <= EXACT_REGIME_MAX_N),
+    whose inner factors are short.  A pair no route settles is
+    "inconclusive"; the routes raise on no input with t >= 1 and n >= 0.
+    margin is the worst-case slack of the winning method (log units for the
+    exact and ratio routes, multiplier units for the difference route)."""
     if t < 1 or n < 0:
         raise ValueError("requires t >= 1 and n >= 0")
     if n <= exact_cap:
         return _exact_certificate(t, n)
     from .asymptotics import (
         EXACT_REGIME_MAX_N,
+        SADDLE_MIN_T,
         big_t_threshold,
         certified_estimate,
         estimate_difference,
         log_interval,
     )
 
-    if t >= 6 and n > t:
+    if t >= SADDLE_MIN_T and n > t:
         est = estimate_difference(t, n - t)
         lower = (
             est.diagnostics["multiplier_center"] - est.diagnostics["multiplier_halfwidth"]

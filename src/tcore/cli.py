@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify_stanton)
 
     p = sub.add_parser("kappa", help="growth-law constants v, A, B for a kappa")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--table", default=None, help="comma-separated kappas for a CSV table")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--kappa", type=float)
+    which.add_argument("--table", help="comma-separated kappas for a CSV table")
     p.add_argument("--csv", default=None, help="write the table as CSV")
     p.set_defaults(fn=_cmd_kappa)
 

@@ -69,17 +69,14 @@ def partition_numbers(limit: int) -> PartitionSeries:
 
 
 def core_inner_factor(t: int, cap: int) -> list:
-    """[prod_{n} (1 - x^n)]^t truncated at degree cap, by binary exponentiation."""
-    base = kernels.euler_factor(cap)
-    result = [1]
-    e = t
-    while e:
-        if e & 1:
-            result = kernels.poly_mul_trunc(result, base, cap)
-        e >>= 1
-        if e:
-            base = kernels.poly_mul_trunc(base, base, cap)
-    return result
+    """[prod_{n} (1 - x^n)]^t truncated at degree cap, for t >= 1, powered left
+    to right: a square per bit of t after the leading one, a euler_step per set bit."""
+    power = kernels.euler_factor(cap)
+    for bit in bin(t)[3:]:
+        power = kernels.poly_mul_trunc(power, power, cap)
+        if bit == "1":
+            power = kernels.euler_step(power, cap)
+    return power
 
 
 def tcore_counts(t: int, limit: int) -> PartitionSeries:

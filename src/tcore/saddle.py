@@ -208,9 +208,13 @@ class KappaConstants(NamedTuple):
 
 def kappa_constants(kappa: float) -> KappaConstants:
     """A = (kappa/v^2)(1/12 - D_0(iv) + D_1(iv))^2,
-    B = (kappa/v^2) sqrt(1/12 - D_2(iv)) at v = v(kappa)."""
+    B = (kappa/v^2) sqrt(1/12 - D_2(iv)) at v = v(kappa).  Raises
+    SolverError where A or B rounds to no positive finite number (at
+    kappa ~ 1e-15 and below, 1/12 - D_2(iv) rounds to 0)."""
     v = solve_scaled_saddle(kappa)
     scale = kappa / (v * v)
     a = scale * (1.0 / 12.0 - _d(0, v) + _d(1, v)) ** 2
-    b = scale * math.sqrt(1.0 / 12.0 - _d(2, v))
+    b = scale * math.sqrt(max(1.0 / 12.0 - _d(2, v), 0.0))
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise SolverError(f"kappa {kappa!r}: A = {a!r}, B = {b!r} not both positive, finite")
     return KappaConstants(kappa=kappa, v=v, A=a, B=b)

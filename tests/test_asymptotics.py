@@ -11,6 +11,7 @@ from tcore import exact
 from tcore.asymptotics import (
     EXACT_REGIME_MAX_N,
     INTERVAL_PADDING,
+    SADDLE_MIN_T,
     HypothesisError,
     big_t_threshold,
     certified_estimate,
@@ -25,7 +26,7 @@ from tcore.asymptotics import (
     select_regime,
     small_t_hypotheses,
 )
-from tcore.saddle import kappa_constants, solve_saddle
+from tcore.saddle import SolverError, kappa_constants, solve_saddle
 from tcore.selftest import (
     central_arc_ratio,
     curvature_on_axis,
@@ -82,9 +83,17 @@ def test_main_hypotheses_at_reference():
     assert 0.0 < est.rel_error_bound < 0.1
 
 
+# No integer t below SADDLE_MIN_T meets min(t, 1/y) >= SADDLE_MIN_T, whatever
+# n: certify_pair and certified_estimate skip those saddle solves
+SADDLE_GATE_NS = (10**4, 10**6, 10**17)
+
+
 def test_main_hypotheses_fail_small_t():
     est = estimate_main(6, 100)
     assert not est.hypotheses_ok
+    for t in range(2, SADDLE_MIN_T):
+        for n in SADDLE_GATE_NS:
+            assert not estimate_main(t, n).hypotheses_ok, (t, n)
 
 
 def test_main_error_bound_property():
@@ -114,6 +123,9 @@ def test_difference_at_reference():
 def test_difference_hypotheses_fail_small():
     est = estimate_difference(50, 100_000)  # t too small for certification
     assert not est.hypotheses_ok
+    for t in range(2, SADDLE_MIN_T):
+        for n in SADDLE_GATE_NS:
+            assert not estimate_difference(t, n).hypotheses_ok, (t, n)
 
 
 # --- small-t estimator --------------------------------------------------------------------
@@ -252,6 +264,7 @@ def test_certified_estimate_chooser():
     assert certified_estimate(6, 20) is None  # nothing certifies
     assert certified_estimate(1, 100_000) is None  # outside t >= 2
     assert certified_estimate(1000, 0) is None  # outside n >= 1: no saddle
+    assert certified_estimate(10**6, 0) is None
 
 
 # t from 2 to 1e8 and n from 1 to 1e8, about four and three steps a decade,
@@ -277,6 +290,22 @@ def test_total_on_domain_grid():
             else:
                 assert estimate(t, n).regime == regime
             certify_pair(t, n, exact_cap=0)
+
+
+def test_total_at_large_n():
+    """Where the curvature D_2(iy) - D_2(ity) or the kappa constant B rounds
+    to zero, the estimators still return, uncertified, and estimate raises
+    only SolverError."""
+    for t in TOTAL_TS:
+        for n in (10**17, 10**21, 10**24):
+            main = estimate_main(t, n)
+            assert math.isfinite(main.log_value) or not main.hypotheses_ok, (t, n)
+            estimate_difference(t, n)
+            certify_pair(t, n, exact_cap=0)
+            try:
+                estimate(t, n)
+            except SolverError:
+                pass
 
 
 def test_exact_regime_on_domain_grid():

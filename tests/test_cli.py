@@ -57,7 +57,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--t", "0", "--n", "5"])
     assert exc.value.code == 2
-    for argv in (["count", "--t", "5"], ["count", "--t", "5", "--n", "10", "--max-n", "12"]):
+    for argv in (
+        ["count", "--t", "5"],
+        ["count", "--t", "5", "--n", "10", "--max-n", "12"],
+        ["kappa"],
+        ["kappa", "--kappa", "1", "--table", "1,24"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -68,8 +73,8 @@ def test_usage_errors_exit_2(capsys):
         ["--kappa", "nan"],
         ["--kappa", "inf"],
         ["--kappa", "0"],
-        ["--kappa", "1", "--table", "1,nan"],
-        ["--kappa", "1", "--table", "1,inf"],
+        ["--table", "1,nan"],
+        ["--table", "1,inf"],
     ):
         code, recs = run_cli(capsys, "kappa", *argv)
         assert code == 2
@@ -99,6 +104,10 @@ def test_saddle_flag_marks_the_float_safe_domain(capsys):
 
 def test_saddle_solver_failure_exit_3(capsys):
     code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "0")
+    assert code == 3
+    assert recs[-1]["kind"] == "solver"
+    # kappa = 49/1e17: the kappa heuristic's B rounds to 0, so it has no value
+    code, recs = run_cli(capsys, "estimate", "--t", "7", "--n", "100000000000000000")
     assert code == 3
     assert recs[-1]["kind"] == "solver"
 
@@ -142,6 +151,11 @@ def test_estimate_forced_hypothesis_failure_exit_4(capsys):
         code, recs = run_cli(capsys, "estimate", "--t", "6", "--n", "20", "--regime", regime)
         assert code == 4
         assert recs[-1]["kind"] == "hypothesis"
+    # the curvature D_2(iy) - D_2(ity) rounds to <= 0: main is uncertified
+    n = "100000000000000000"
+    code, recs = run_cli(capsys, "estimate", "--t", "8", "--n", n, "--regime", "main")
+    assert code == 4
+    assert recs[-1]["kind"] == "hypothesis"
 
 
 def test_estimate_big_t_beyond_cap_exit_2(capsys):
@@ -247,7 +261,7 @@ def test_unwritable_output_path_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing" / "out"
     for argv in (
         ["verify-stanton", "--max-n", "40", "--threads", "1", "--report", f"{missing}.json"],
-        ["kappa", "--kappa", "1", "--table", "1,24", "--csv", f"{missing}.csv"],
+        ["kappa", "--table", "1,24", "--csv", f"{missing}.csv"],
         ["kappa", "--kappa", "1", "--csv", str(tmp_path)],  # a directory
     ):
         code, recs = run_cli(capsys, *argv)
@@ -273,13 +287,12 @@ def test_kappa_monotone_v(capsys):
 
 def test_kappa_csv_table(capsys, tmp_path):
     csv_path = tmp_path / "constants.csv"
-    code, recs = run_cli(
-        capsys, "kappa", "--kappa", "1", "--table", "1,24,1000", "--csv", str(csv_path)
-    )
+    code, recs = run_cli(capsys, "kappa", "--table", "1,24,1000", "--csv", str(csv_path))
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "kappa,v,A,B"
     assert len(lines) == 4
+    assert [row["kappa"] for row in recs[-1]["result"]["table"]] == [1.0, 24.0, 1000.0]
 
 
 def test_deterministic_results(capsys):

@@ -222,6 +222,10 @@ def test_series_matches_single_point():
 def test_inner_factor_independent_recurrence():
     for t, cap in ((4, 30), (50, 20), (600, 16)):
         assert exact.core_inner_factor(t, cap) == inner_by_sigma_recurrence(t, cap)
+    # a single bit, runs of set bits and their neighbours, at caps 0, 1 and 25
+    for t in (1, 2, 3, 63, 64, 65, 255, 1024):
+        for cap in (0, 1, 25):
+            assert exact.core_inner_factor(t, cap) == inner_by_sigma_recurrence(t, cap), (t, cap)
 
 
 @pytest.mark.parametrize(
