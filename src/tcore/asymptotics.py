@@ -20,6 +20,7 @@ from .modular import eta_quotient_log
 from .saddle import (
     INTERVAL_PADDING,
     ROUNDOFF_REL,
+    SADDLE_MIN_T,
     SaddleResult,
     kappa_constants,
     shifted_index,
@@ -27,7 +28,6 @@ from .saddle import (
 )
 
 HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
-SADDLE_MIN_T = 1000  # main and difference need min(t, 1/y) >= this, so t >= it
 # Largest n the exact regime accepts: it grows the exact p-series to n, a
 # pure-Python bignum job of several seconds at this size that grows
 # superlinearly beyond it.

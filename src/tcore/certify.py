@@ -28,15 +28,7 @@ class PairCertificate(NamedTuple):
     detail: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n": self.n,
-            "method": self.method,
-            "ok": self.ok,
-            "equality": self.equality,
-            "margin": self.margin,
-            "detail": dict(self.detail or {}),
-        }
+        return {**self._asdict(), "detail": dict(self.detail or {})}
 
 
 def _exact_certificate(t: int, n: int) -> PairCertificate:
@@ -62,9 +54,19 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
     whose inner factors are short.  A pair no route settles is
     "inconclusive"; the routes raise on no input with t >= 1 and n >= 0.
     margin is the worst-case slack of the winning method (log units for the
-    exact and ratio routes, multiplier units for the difference route)."""
+    exact and ratio routes, multiplier units for the difference route).
+    Outside Stanton's domain 4 <= t < n - 1, where c_t(n) > c_{t+1}(n) is no
+    counterexample, detail["stanton_domain"] is False."""
     if t < 1 or n < 0:
         raise ValueError("requires t >= 1 and n >= 0")
+    cert = _settle_pair(t, n, exact_cap)
+    if t < 4 or n <= t + 1:
+        cert.detail["stanton_domain"] = False
+    return cert
+
+
+def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
+    """The first route of certify_pair that settles (t, n), else inconclusive."""
     if n <= exact_cap:
         return _exact_certificate(t, n)
     from .asymptotics import (

@@ -158,17 +158,12 @@ def _cmd_kappa(opts) -> int:
 
     started = time.monotonic()
     kappas = [opts.kappa] if opts.table is None else [float(k) for k in opts.table.split(",")]
-    rows = []
-    for k in kappas:
-        consts = kappa_constants(k)
-        rows.append({"kappa": consts.kappa, "v": consts.v, "A": consts.A, "B": consts.B})
+    rows = [kappa_constants(k)._asdict() for k in kappas]
     if opts.csv:
         with _open_output(opts.csv) as fh:
             fh.write("kappa,v,A,B\n")
             for row in rows:
-                fh.write(
-                    f"{row['kappa']:.15g},{row['v']:.15g},{row['A']:.15g},{row['B']:.15g}\n"
-                )
+                fh.write(",".join(f"{x:.15g}" for x in row.values()) + "\n")
     result = rows[0] if opts.table is None else {"table": rows}
     _emit("kappa", {"kappa": opts.kappa, "table": opts.table, "csv": opts.csv}, result, {}, started)
     return EXIT_OK

@@ -26,12 +26,13 @@ RESIDUAL_NOISE_REL = 1e-9
 INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
 # Rounding of a saddle-point quantity, relative to the size of the terms that
 # cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
-# saddle ordinate.  Fitted to 50-digit evaluations over t = 1e3..1e8,
-# n = 5e4..1e8: the main-log roundoff / (2 pi M y) stayed <= 2.1e-16 and the
-# relative y roundoff / (t y)^2 <= 7e-17, so 8 ulp of 1 keeps a margin above
-# 5x.  A result is trusted only while ROUNDOFF_REL times that size stays
+# saddle ordinate, kappa/24 in the relative v(kappa), A and B.  Against
+# 50-digit evaluations (t = 1e3..1e8, n = 5e4..1e8, kappa = 3e4..1e20) these
+# ratios stayed <= 2.1e-16, 7e-17 and 2.0e-16, so 8 ulp of 1 keeps a margin
+# above 5x.  A result is trusted only while ROUNDOFF_REL times that size stays
 # within INTERVAL_PADDING.
 ROUNDOFF_REL = 8.0 * 2.0**-52
+SADDLE_MIN_T = 1000  # the certified saddle regimes need min(t, 1/y) >= this, so t >= it
 
 
 class SolverError(RuntimeError):
@@ -81,10 +82,9 @@ class SaddleResult(NamedTuple):
 
     curvature is (D_2(iy) - D_2(ity))/y (the Gaussian concentration scale);
     drift is y * residual (the scaled linear tilt).  within_guarantees marks
-    whether t is large enough for the certified error bounds downstream and
-    y lies in the float-safe domain: its relative rounding, about
-    2^-53 (t y)^2 / 2, stays within the padding
-    (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    t >= SADDLE_MIN_T, below which no certified bound downstream holds, and y
+    in the float-safe domain: its relative rounding, about 2^-53 (t y)^2 / 2,
+    stays within the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
     """
 
     t: int
@@ -163,7 +163,7 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         curvature=curvature,
         drift=y * residual,
         iterations=iterations,
-        within_guarantees=t >= 6 and n >= 1 and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING,
+        within_guarantees=t >= SADDLE_MIN_T and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING,
     )
 
 
@@ -177,9 +177,17 @@ def solve_scaled_saddle(kappa: float) -> float:
 
     h is a decreasing bijection of (0, inf) onto (0, inf) shifted by 1/kappa,
     so an automatically expanded bracket plus bisection always lands.
+
+    Past v ~ 1, D_1(iv)/v^2 is 1/24 up to e^(-2 pi v): the terms of size 1/24
+    in h cancel down to 1/kappa, and as v h'(v) = -2/kappa at the root
+    (v^2 ~ kappa/24), v carries a relative rounding of about 2^-53 kappa/48.
+    So SolverError is raised where ROUNDOFF_REL times kappa/24, the size of
+    the cancelling terms against h, exceeds INTERVAL_PADDING: above ~1.35e7.
     """
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
+    if ROUNDOFF_REL * kappa / 24.0 > INTERVAL_PADDING:
+        raise SolverError(f"kappa {kappa!r} is past the float-safe domain kappa <= 1.35e7")
     lo = hi = 1.0
     for _ in range(200):
         if scale_residual(kappa, hi) < 0.0:
@@ -209,8 +217,8 @@ class KappaConstants(NamedTuple):
 def kappa_constants(kappa: float) -> KappaConstants:
     """A = (kappa/v^2)(1/12 - D_0(iv) + D_1(iv))^2,
     B = (kappa/v^2) sqrt(1/12 - D_2(iv)) at v = v(kappa).  Raises
-    SolverError where A or B rounds to no positive finite number (at
-    kappa ~ 1e-15 and below, 1/12 - D_2(iv) rounds to 0)."""
+    SolverError above kappa ~ 1.35e7 (solve_scaled_saddle) and where A or B
+    is no positive finite number (1/12 - D_2(iv) rounds to 0 below ~1e-15)."""
     v = solve_scaled_saddle(kappa)
     scale = kappa / (v * v)
     a = scale * (1.0 / 12.0 - _d(0, v) + _d(1, v)) ** 2

@@ -54,15 +54,10 @@ class VerificationReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "max_n": self.max_n,
-            "max_t": self.max_t,
+            **self._asdict(),
             "violations": [list(v) for v in self.violations],
             "equalities": [list(e) for e in self.equalities],
-            "pairs_checked": self.pairs_checked,
-            "workers": self.workers,
-            "elapsed_s": self.elapsed_s,
             "blocks": [list(b) for b in self.blocks],
-            "closed_form_pairs": self.closed_form_pairs,
         }
 
 

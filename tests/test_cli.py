@@ -279,6 +279,14 @@ def test_kappa_command(capsys):
     assert result["B"] > 0.0
 
 
+def test_kappa_past_float_safe_domain_exit_3(capsys):
+    # at kappa = 1e20 doubles lose v(kappa): the unchecked solve printed A = 113
+    code, recs = run_cli(capsys, "kappa", "--kappa", "1e20")
+    assert code == 3
+    assert recs[-1]["kind"] == "solver"
+    assert "float-safe" in recs[-1]["error"]
+
+
 def test_kappa_monotone_v(capsys):
     _, recs10 = run_cli(capsys, "kappa", "--kappa", "10")
     _, recs100 = run_cli(capsys, "kappa", "--kappa", "100")

@@ -1,6 +1,7 @@
 """Exact-series tests: independent oracles first, then the series routes."""
 
 import math
+import random
 from functools import lru_cache
 
 import pytest
@@ -78,6 +79,24 @@ def partition_series_pentagonal_loop(limit):
             k += 1
         p[n] = s
     return p
+
+
+def _divisors(m):
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return set(small) | {m // d for d in small}
+
+
+def c5_divisor_sum(n):
+    """c_5(n) = sum over d | n+1 of (d/5) (n+1)/d, (d/5) the Legendre symbol
+    (Garvan, Kim and Stanton, "Cranks and t-cores", Invent. Math. 101, 1990)."""
+    m = n + 1
+    return sum((0, 1, -1, -1, 1)[d % 5] * (m // d) for d in _divisors(m))
+
+
+def c3_divisor_count(n):
+    """c_3(n) = d_{1,3}(3n+1) - d_{2,3}(3n+1), the divisors of 3n+1 that are
+    1 mod 3 less those that are 2 mod 3 (same paper)."""
+    return sum((0, 1, -1)[d % 3] for d in _divisors(3 * n + 1))
 
 
 # --- partition numbers ------------------------------------------------------------
@@ -380,3 +399,15 @@ def test_log_of_integer_vs_mpmath():
     with mpmath.workdps(50):
         reference = float(mpmath.log(mpmath.mpf(p1000)))
     assert math.isclose(exact.log_of_integer(p1000), reference, rel_tol=1e-14)
+
+
+# --- t-core counts against the divisor sums ---------------------------------------
+
+# every n <= 400, then a seeded grid to 5000; a mismatch is a package defect
+DIVISOR_NS = list(range(401)) + sorted(random.Random(23).sample(range(401, 5001), 60)) + [5000]
+
+
+@pytest.mark.parametrize("t,oracle", [(3, c3_divisor_count), (5, c5_divisor_sum)])
+def test_tcore_count_matches_divisor_sums(t, oracle):
+    for n in DIVISOR_NS:
+        assert exact.tcore_count(t, n) == oracle(n), (t, n)

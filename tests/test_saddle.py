@@ -8,6 +8,7 @@ from tcore.modular import eta_quotient_log
 from tcore.saddle import (
     INTERVAL_PADDING,
     ROUNDOFF_REL,
+    SADDLE_MIN_T,
     SolverError,
     kappa_constants,
     saddle_bracket,
@@ -84,6 +85,14 @@ def test_guarantee_flag_needs_the_float_safe_domain():
     # percent (tests/test_saddle_oracle.py); the reference point stays inside
     res = solve_saddle(10**8, 1)
     assert ROUNDOFF_REL * (res.t * res.y) ** 2 > INTERVAL_PADDING
+    assert not res.within_guarantees
+
+
+def test_guarantee_flag_needs_saddle_min_t():
+    # y is float-safe at t = 8, but no certified saddle regime reaches t < 1000
+    res = solve_saddle(8, 1000)
+    assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
+    assert res.t < SADDLE_MIN_T
     assert not res.within_guarantees
 
 

@@ -24,7 +24,7 @@ from tcore.asymptotics import (
     estimate_main,
     select_regime,
 )
-from tcore.saddle import Y_REL_TOL, _d, solve_saddle
+from tcore.saddle import Y_REL_TOL, SolverError, _d, kappa_constants, solve_saddle
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -49,14 +49,15 @@ def _log_qp(y):
 
 
 def d(k: int, y):
-    """D_k(iy) for k = 1, 2.  For y >= 1 the linear part -pi y/12 of L is
+    """D_k(iy) for k = 0, 1, 2.  For y >= 1 the linear part -pi y/12 of L is
     differentiated by hand, so that D_2, which is of order e^(-2 pi y), keeps
     its relative precision."""
     y = mpmath.mpf(y)
     if y < 1:
         deriv = mpmath.diff(log_eta, y, k)
     else:
-        deriv = mpmath.diff(_log_qp, y, k) - (mpmath.pi / 12 if k == 1 else 0)
+        linear = (-mpmath.pi * y / 12, -mpmath.pi / 12, 0)[k]
+        deriv = mpmath.diff(_log_qp, y, k) + linear
     return -(y ** (k + 1)) * deriv / (2 * mpmath.pi)
 
 
@@ -89,6 +90,26 @@ def saddle_root(t: int, n: int):
         assert g_hi < noise
         return hi
     return mpmath.findroot(lambda y: residual(t, n, y), (lo, hi), solver="anderson")
+
+
+def scale_residual(kappa, v):
+    """h(v) = 1/(24 v^2) - 1/24 + D_1(iv)/v^2 - 1/kappa."""
+    return 1 / (24 * v * v) - mpmath.mpf(1) / 24 + d(1, v) / (v * v) - 1 / mpmath.mpf(kappa)
+
+
+def kappa_oracle(kappa):
+    """(v, A, B) of saddle.kappa_constants at this precision: v the root of h,
+    bracketed by doubling and halving from 1 as solve_scaled_saddle does."""
+    lo = hi = mpmath.mpf(1)
+    while scale_residual(kappa, hi) >= 0:
+        hi *= 2
+    while scale_residual(kappa, lo) <= 0:
+        lo /= 2
+    v = mpmath.findroot(lambda w: scale_residual(kappa, w), (lo, hi), solver="anderson")
+    scale = kappa / (v * v)
+    a = scale * (mpmath.mpf(1) / 12 - d(0, v) + d(1, v)) ** 2
+    b = scale * mpmath.sqrt(mpmath.mpf(1) / 12 - d(2, v))
+    return v, a, b
 
 
 def main_log(t: int, n: int):
@@ -187,3 +208,27 @@ def test_regime_changes_at_the_float_safe_boundary():
     assert ROUNDOFF_REL * exponent > INTERVAL_PADDING
     assert not est.hypotheses_ok
     assert select_regime(10**6, 10**6) == "exact"
+
+
+# a point a decade over kappa = 1e-3..1e20, and either side of the float-safe
+# bound 24 INTERVAL_PADDING / ROUNDOFF_REL ~ 1.35e7
+KAPPAS = sorted({10.0**e for e in range(-3, 21)} | {1.3e7, 1.4e7})
+
+
+def test_kappa_constants_match_oracle_or_raise():
+    """v, A and B each match the oracle to the padding, relatively, or the
+    solve raises: past kappa ~ 1e15 doubles lose v entirely (at 1e20 the
+    unchecked solve gave A = 113 against 1/6)."""
+    raised = []
+    with mpmath.workdps(ORACLE_DPS):
+        for kappa in KAPPAS:
+            try:
+                consts = kappa_constants(kappa)
+            except SolverError:
+                raised.append(kappa)
+                continue
+            for name, value, ref in zip("vAB", consts[1:], kappa_oracle(kappa)):
+                err = abs(value - ref) / ref
+                assert err <= INTERVAL_PADDING, (kappa, name, float(err))
+    assert 1e20 in raised
+    assert all(kappa > 1e7 for kappa in raised), raised  # the benchmark's 0.5..1000 and more

@@ -444,6 +444,23 @@ def test_certify_pair_exact_margin_of_close_counts():
     assert cert.margin == pytest.approx((b - a) / a, rel=1e-12)
 
 
+@pytest.mark.parametrize("t,n", [(1000, 1001), (4, 5), (5, 6)])
+def test_certify_pair_outside_stanton_domain(t, n):
+    # c_t(n) > c_{t+1}(n) at n = t + 1 is no counterexample: the conjecture
+    # covers 4 <= t < n - 1 only
+    cert = certify_pair(t, n)
+    assert cert.method == "exact" and not cert.ok
+    assert cert.detail["stanton_domain"] is False
+    assert cert.to_dict()["detail"]["stanton_domain"] is False
+
+
+def test_certify_pair_inside_stanton_domain_has_no_domain_key():
+    cert = certify_pair(5, 10)
+    assert cert.ok and cert.equality
+    assert "stanton_domain" not in cert.detail
+    assert certify_pair(3, 10).detail["stanton_domain"] is False  # t < 4
+
+
 def test_certify_pair_ratio_route():
     cert = certify_pair(50, 100_000)
     assert cert.method == "ratio"
