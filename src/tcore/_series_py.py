@@ -2,12 +2,16 @@
 
 These are the hot loops behind the exact counting routines, and the only
 implementation of them: ``exact`` and ``verifier`` call them through
-``backend.kernels``.  ``perfbench/check.py`` recounts its answers through
-these same kernels, so it checks the routes above them, not the kernels
-themselves.  The independent references for the kernels live in the tests:
-``tests/test_exact.py`` keeps the pentagonal loop that ``partition_series``
-replaced, SymPy's ``partition`` (a test-only oracle), an enumeration oracle
-and an n-major convolution.  All coefficients are exact Python ints.
+``backend.kernels``.  ``perfbench/check.py`` recounts its answers with
+``partition_series``, ``core_single_from_inner`` and its own right-to-left
+powering by ``poly_mul_trunc``, which no query calls: queries square with
+``poly_square_trunc``, so the checker checks that kernel and ``euler_step``
+against the general product.  The independent references for the kernels
+live in the tests: ``tests/test_exact.py`` keeps the pentagonal loop that
+``partition_series`` replaced, SymPy's ``partition`` (a test-only oracle),
+an enumeration oracle, the log-derivative recurrence for the inner factor,
+the Garvan-Kim-Stanton lattice and an n-major convolution.  All
+coefficients are exact Python ints.
 """
 
 from itertools import repeat
@@ -84,6 +88,25 @@ def poly_mul_trunc(a, b, cap):
             bj = b[j]
             if bj:
                 out[i + j] += ai * bj
+    return out
+
+
+def poly_square_trunc(a, cap):
+    """a * a truncated at degree cap: the same list as poly_mul_trunc(a, a, cap).
+
+    The square is symmetric, so each a_i**2 is formed once and each cross
+    product a_i * a_j (i < j) once, as (2 a_i) * a_j.  Row i adds 2 a_i times
+    a[i+1:] at degree 2i + 1 up, summed by the builtins; about half the
+    products of the general kernel.
+    """
+    top = min(2 * len(a) - 2, cap) + 1
+    out = [0] * top
+    for i, ai in enumerate(a[: (top + 1) // 2]):  # the rows with 2i <= cap
+        if ai:
+            h = i + i
+            out[h] += ai * ai
+            m = min(top - i, len(a))  # a[i+1:m] lands on degrees 2i + 1 .. i + m - 1
+            out[h + 1 : i + m] = map(add, out[h + 1 : i + m], map(mul, repeat(ai + ai), a[i + 1 : m]))
     return out
 
 

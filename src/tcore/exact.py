@@ -73,7 +73,7 @@ def core_inner_factor(t: int, cap: int) -> list:
     to right: a square per bit of t after the leading one, a euler_step per set bit."""
     power = kernels.euler_factor(cap)
     for bit in bin(t)[3:]:
-        power = kernels.poly_mul_trunc(power, power, cap)
+        power = kernels.poly_square_trunc(power, cap)
         if bit == "1":
             power = kernels.euler_step(power, cap)
     return power

@@ -13,7 +13,7 @@ the rescaled equation behind the kappa-regime constants A(kappa), B(kappa).
 import math
 from typing import NamedTuple
 
-from .modular import eta_log_deriv
+from .modular import _series, eta_log_deriv
 
 Y_REL_TOL = 1e-12
 MAX_BISECTIONS = 200
@@ -167,8 +167,26 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
     )
 
 
+def _inverted_sum(k: int, v: float) -> float:
+    """S_k(v): the inverted-branch n-sum of D_k(iv), without its constant terms.
+    Below v = 1, where eta_log_deriv takes that branch,
+
+        D_0(iv) = S_0 + 1/24 + (v/4 pi) ln v,
+        D_1(iv) = S_1 - 1/24 + v/4 pi,
+        D_2(iv) = S_2 + 1/12 - v/4 pi,
+
+    and S_k is of size e^(-2 pi/v), so the kappa formulas cancel the
+    constants by hand instead of in rounding."""
+    return _series(k, complex(0.0, v), "inverted").real
+
+
 def scale_residual(kappa: float, v: float) -> float:
-    """h(v) = 1/(24 v^2) - 1/24 + D_1(iv)/v^2 - 1/kappa; decreasing in v."""
+    """h(v) = 1/(24 v^2) - 1/24 + D_1(iv)/v^2 - 1/kappa; decreasing in v.
+    Below v = 1 it is S_1/v^2 + 1/(4 pi v) - 1/24 - 1/kappa: there the terms
+    of size 1/(24 v^2) cancel exactly, where in floats they would swamp
+    1/kappa as kappa ~ 4 pi v falls."""
+    if v < 1.0:
+        return _inverted_sum(1, v) / (v * v) + 1.0 / (4.0 * math.pi * v) - 1.0 / 24.0 - 1.0 / kappa
     return 1.0 / (24.0 * v * v) - 1.0 / 24.0 + _d(1, v) / (v * v) - 1.0 / kappa
 
 
@@ -217,12 +235,20 @@ class KappaConstants(NamedTuple):
 def kappa_constants(kappa: float) -> KappaConstants:
     """A = (kappa/v^2)(1/12 - D_0(iv) + D_1(iv))^2,
     B = (kappa/v^2) sqrt(1/12 - D_2(iv)) at v = v(kappa).  Raises
-    SolverError above kappa ~ 1.35e7 (solve_scaled_saddle) and where A or B
-    is no positive finite number (1/12 - D_2(iv) rounds to 0 below ~1e-15)."""
+    SolverError outside kappa ~ 1e-47..1.35e7 (solve_scaled_saddle: below,
+    the bracket or the bisection runs out) and where A or B is no positive
+    finite number."""
     v = solve_scaled_saddle(kappa)
     scale = kappa / (v * v)
-    a = scale * (1.0 / 12.0 - _d(0, v) + _d(1, v)) ** 2
-    b = scale * math.sqrt(max(1.0 / 12.0 - _d(2, v), 0.0))
+    if v < 1.0:  # the constant terms cancelled by hand (_inverted_sum)
+        c = v / (4.0 * math.pi)
+        lead = _inverted_sum(1, v) - _inverted_sum(0, v) + c * (1.0 - math.log(v))
+        curvature = c - _inverted_sum(2, v)
+    else:
+        lead = 1.0 / 12.0 - _d(0, v) + _d(1, v)
+        curvature = 1.0 / 12.0 - _d(2, v)
+    a = scale * lead**2
+    b = scale * math.sqrt(max(curvature, 0.0))
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise SolverError(f"kappa {kappa!r}: A = {a!r}, B = {b!r} not both positive, finite")
     return KappaConstants(kappa=kappa, v=v, A=a, B=b)

@@ -106,10 +106,21 @@ def test_saddle_solver_failure_exit_3(capsys):
     code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "0")
     assert code == 3
     assert recs[-1]["kind"] == "solver"
-    # kappa = 49/1e17: the kappa heuristic's B rounds to 0, so it has no value
-    code, recs = run_cli(capsys, "estimate", "--t", "7", "--n", "100000000000000000")
+    # kappa = 4e-70: v(kappa) ~ kappa/(4 pi) lies below the halved bracket 2^-200
+    code, recs = run_cli(capsys, "estimate", "--t", "2", "--n", str(10**70))
     assert code == 3
     assert recs[-1]["kind"] == "solver"
+
+
+def test_kappa_heuristic_answers_at_small_kappa(capsys):
+    # kappa = 49/1e17: with the constant terms of D_0..D_2 cancelled in
+    # floats, B rounded to 0 here and the estimate exited 3
+    code, recs = run_cli(capsys, "estimate", "--t", "7", "--n", str(10**17))
+    assert code == 0
+    result = recs[-1]["result"]
+    assert result["regime"] == "kappa_heuristic"
+    assert math.isfinite(result["log_value"])
+    assert result["diagnostics"]["B"] > 0.0
 
 
 def test_saddle_rounding_at_upper_endpoint_exit_0(capsys):
@@ -532,11 +543,16 @@ def test_lazy_names_follow_a_tracer_install_and_uninstall(tmp_path):
 
 
 def test_import_leaves_selftest_and_mpmath_unloaded():
-    # only the selftest command needs the self-test suites; mpmath is a
-    # test-only oracle that the package never imports
+    # only the selftest command needs the self-test suites; mpmath and sympy
+    # are test-only oracles that the package never imports, not even to count
+    # or to certify
     code = (
         "import sys, tcore.cli; "
-        "loaded = [m for m in ('tcore.selftest', 'mpmath') if m in sys.modules]; "
+        "loaded = [m for m in ('tcore.selftest', 'mpmath', 'sympy') if m in sys.modules]; "
+        "assert not loaded, loaded; "
+        "assert tcore.tcore_count(7, 200) == 6375; "
+        "assert tcore.estimate(8, 10**6).hypotheses_ok; "
+        "loaded = [m for m in ('mpmath', 'sympy') if m in sys.modules]; "
         "assert not loaded, loaded"
     )
     _run_python(code)

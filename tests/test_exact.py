@@ -99,6 +99,52 @@ def c3_divisor_count(n):
     return sum((0, 1, -1)[d % 3] for d in _divisors(3 * n + 1))
 
 
+def c4_lattice(n):
+    """c_4(n) by the Garvan-Kim-Stanton bijection (same paper): the t-cores
+    of n are the v in Z^t with sum v_i = 0 and n = (t/2)|v|^2 + sum i v_i.
+    With w_i = t v_i + i that reads w_i = i mod t, sum w_i = t(t-1)/2 and
+    sum w_i^2 = 2tn + sum i^2.  For t = 4, w_0 and w_1 fixed, w_2 + w_3 = s
+    and (w_2 - w_3)^2 = 2 (8n + 14 - w_0^2 - w_1^2) - s^2 give w_2."""
+    total = 8 * n + 14
+    count = 0
+    r0 = math.isqrt(total)
+    for w0 in range(-r0 + r0 % 4, r0 + 1, 4):
+        rest0 = total - w0 * w0
+        r1 = math.isqrt(rest0)
+        for w1 in range(-r1 + (1 + r1) % 4, r1 + 1, 4):
+            s = 6 - w0 - w1
+            disc = 2 * (rest0 - w1 * w1) - s * s
+            if disc < 0:
+                continue
+            d = math.isqrt(disc)
+            if d * d == disc and (s + d) % 2 == 0:
+                count += sum(w2 % 4 == 2 for w2 in {(s + d) // 2, (s - d) // 2})
+    return count
+
+
+def tcore_counts_lattice(t, limit):
+    """c_t(0..limit) by the same bijection: every w with w_i = i mod t, sum
+    w_i = t(t-1)/2 and sum w_i^2 <= 2t limit + sum i^2, enumerated
+    coordinate by coordinate, each lattice point counted at its n."""
+    base = sum(i * i for i in range(t))
+    top = 2 * t * limit + base
+    counts = [0] * (limit + 1)
+
+    def place(i, total, squares):
+        if i == t - 1:  # the last coordinate is fixed by the sum
+            w = t * (t - 1) // 2 - total
+            q = squares + w * w
+            if q <= top:
+                counts[(q - base) // (2 * t)] += 1
+            return
+        r = math.isqrt(top - squares)
+        for w in range(-r + (i + r) % t, r + 1, t):
+            place(i + 1, total + w, squares + w * w)
+
+    place(0, 0, 0)
+    return counts
+
+
 # --- partition numbers ------------------------------------------------------------
 
 def test_partition_empty():
@@ -245,6 +291,25 @@ def test_inner_factor_independent_recurrence():
     for t in (1, 2, 3, 63, 64, 65, 255, 1024):
         for cap in (0, 1, 25):
             assert exact.core_inner_factor(t, cap) == inner_by_sigma_recurrence(t, cap), (t, cap)
+    # all bits set: a square and a step per bit, on long dense rows
+    for t in (63, 127, 255, 511, 1023):
+        assert exact.core_inner_factor(t, 150) == inner_by_sigma_recurrence(t, 150), t
+
+
+def _random_lists(seed):
+    """Seeded signed coefficient lists: lengths 0..40, a single term, runs of
+    zeros, and large entries."""
+    rng = random.Random(seed)
+    yield from ([], [0], [7], [-3], [0, 0, 0, 5], [1, 0, 0, 0, 0, 0, -1], [2**70, 0, -(2**65)])
+    for length in range(41):
+        yield [rng.choice((0, 0, 1, -1, rng.randrange(-(10**30), 10**30))) for _ in range(length)]
+
+
+def test_square_kernel_matches_general_product():
+    for a in _random_lists(24):
+        top = 2 * len(a) - 2  # the degree of the full square
+        for cap in sorted(c for c in {0, 1, 2, len(a), top - 1, top, top + 1, top + 5} if c >= 0):
+            assert kernels.poly_square_trunc(a, cap) == kernels.poly_mul_trunc(a, a, cap), (a, cap)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +466,7 @@ def test_log_of_integer_vs_mpmath():
     assert math.isclose(exact.log_of_integer(p1000), reference, rel_tol=1e-14)
 
 
-# --- t-core counts against the divisor sums ---------------------------------------
+# --- t-core counts against the divisor sums and the lattice ---------------------
 
 # every n <= 400, then a seeded grid to 5000; a mismatch is a package defect
 DIVISOR_NS = list(range(401)) + sorted(random.Random(23).sample(range(401, 5001), 60)) + [5000]
@@ -411,3 +476,19 @@ DIVISOR_NS = list(range(401)) + sorted(random.Random(23).sample(range(401, 5001)
 def test_tcore_count_matches_divisor_sums(t, oracle):
     for n in DIVISOR_NS:
         assert exact.tcore_count(t, n) == oracle(n), (t, n)
+
+
+# every n <= 300, then a seeded grid to 2e4, whose inner factor is a dense
+# square at cap 5000; a mismatch is a package defect
+LATTICE_NS = list(range(301)) + sorted(random.Random(8).sample(range(301, 20001), 15)) + [20000]
+
+
+def test_tcore_count_matches_c4_lattice():
+    for n in LATTICE_NS:
+        assert exact.tcore_count(4, n) == c4_lattice(n), n
+
+
+@pytest.mark.parametrize("t,limit", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 200)])
+def test_tcore_counts_match_lattice_enumeration(t, limit):
+    # t = 6 powers by a square, a step and a square
+    assert list(exact.tcore_counts(t, limit).values) == tcore_counts_lattice(t, limit)

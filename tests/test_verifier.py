@@ -348,6 +348,7 @@ def test_scan_powers_no_inner_factor(monkeypatch):
         raise AssertionError("the scan must not power an inner factor")
 
     monkeypatch.setattr(kernels, "poly_mul_trunc", forbidden)
+    monkeypatch.setattr(kernels, "poly_square_trunc", forbidden)
     monkeypatch.setattr(exact, "core_inner_factor", forbidden)
     report = verify_exact(150, workers=1)
     assert report.equalities == [(5, 10)]
