@@ -14,6 +14,7 @@ interest.
 """
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .modular import eta_quotient_log
@@ -207,10 +208,15 @@ def big_t_threshold(n: int) -> float:
     return 1.5 * math.sqrt(6.0) / (2.0 * math.pi) * math.sqrt(n) * math.log(n)
 
 
+def exact_regime_holds(t: int, n: int) -> bool:
+    """The exact regime's rule: t > big_t_threshold(n), where the inner factor
+    is short, and n <= EXACT_REGIME_MAX_N, where the p-series to n is cheap."""
+    return t > big_t_threshold(n) and n <= EXACT_REGIME_MAX_N
+
+
 def estimate_exact(t: int, n: int) -> CertifiedEstimate:
-    """The log of the exact count c_t(n), for t above big_t_threshold(n) and
-    n up to EXACT_REGIME_MAX_N.  Its cost is that of the p-series to n; the
-    inner factor above the threshold is short.  The bound is the padding
+    """The log of the exact count c_t(n) where exact_regime_holds(t, n).
+    Its cost is that of the p-series to n.  The bound is the padding
     alone (log_of_integer is accurate to ~1 ulp).  A zero count (t = 2 or 3
     only) has no log-space interval: log_value is -inf, rel_error_bound is
     None and the estimate is not certified.  diagnostics["count"] holds the
@@ -219,12 +225,12 @@ def estimate_exact(t: int, n: int) -> CertifiedEstimate:
         raise ValueError("t must be >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > EXACT_REGIME_MAX_N:
-        raise ValueError(
-            f"n {n} exceeds the exact regime cap {EXACT_REGIME_MAX_N}: the exact "
-            "count needs p-values up to n, whose cost grows superlinearly in n"
-        )
-    if t <= big_t_threshold(n):
+    if not exact_regime_holds(t, n):
+        if n > EXACT_REGIME_MAX_N:
+            raise ValueError(
+                f"n {n} exceeds the exact regime cap {EXACT_REGIME_MAX_N}: the exact "
+                "count needs p-values up to n, whose cost grows superlinearly in n"
+            )
         raise HypothesisError(
             f"exact regime needs t > {big_t_threshold(n):.6g} at n = {n}, not t = {t}"
         )
@@ -246,8 +252,8 @@ def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
 
     The error is o(1) with no explicit constant, so this estimate is never
     certified (hypotheses_ok is always False)."""
-    if t < 2 or n < 1:
-        raise ValueError("requires t >= 2 and n >= 1")
+    if t < 2 or n < 1 or t * t > sys.float_info.max:
+        raise ValueError("requires t >= 2, n >= 1 and t^2 that does not overflow a double")
     kappa = t * t / n
     consts = kappa_constants(kappa)
     log_value = 2.0 * math.pi * math.sqrt(consts.A * n) - math.log(consts.B * n)
@@ -274,14 +280,14 @@ def certified_estimate(t: int, n: int) -> Optional[CertifiedEstimate]:
 
 def select_regime(t: int, n: int) -> str:
     """The certified regime whose hypotheses hold (certified_estimate);
-    otherwise the exact count when t is above big_t_threshold(n), else the
+    otherwise the exact count where exact_regime_holds(t, n), else the
     kappa heuristic, which is uncertified."""
     if t < 2:
         raise ValueError("t must be >= 2")
     est = certified_estimate(t, n)
     if est is not None:
         return est.regime
-    if t > big_t_threshold(n):
+    if exact_regime_holds(t, n):
         return "exact"
     return "kappa_heuristic"
 

@@ -50,9 +50,9 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
     n <= exact_cap, the difference certificate (for t >= SADDLE_MIN_T),
     separated ratio intervals, or, last, exact comparison where the exact
-    regime's rule holds (t > big_t_threshold(n), n <= EXACT_REGIME_MAX_N),
-    whose inner factors are short.  A pair no route settles is
-    "inconclusive"; the routes raise on no input with t >= 1 and n >= 0.
+    regime's rule holds (asymptotics.exact_regime_holds).  A pair no route
+    settles is "inconclusive"; for t >= 1, n >= 0 the routes raise only
+    ValueError, past exact_cap where (t + 1)^2 overflows a double.
     margin is the worst-case slack of the winning method (log units for the
     exact and ratio routes, multiplier units for the difference route).
     Outside Stanton's domain 4 <= t < n - 1, where c_t(n) > c_{t+1}(n) is no
@@ -70,11 +70,10 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
     if n <= exact_cap:
         return _exact_certificate(t, n)
     from .asymptotics import (
-        EXACT_REGIME_MAX_N,
         SADDLE_MIN_T,
-        big_t_threshold,
         certified_estimate,
         estimate_difference,
+        exact_regime_holds,
         log_interval,
     )
 
@@ -103,7 +102,7 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
                 t=t, n=n, method="ratio", ok=True, equality=False, margin=margin,
                 detail={"regimes": (est_lo.regime, est_hi.regime)},
             )
-    if n <= EXACT_REGIME_MAX_N and t > big_t_threshold(n):
+    if exact_regime_holds(t, n):
         return _exact_certificate(t, n)
     return PairCertificate(
         t=t, n=n, method="inconclusive", ok=False, equality=False, margin=0.0, detail={},

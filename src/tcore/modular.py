@@ -204,9 +204,11 @@ def _branch_for(z: complex, branch: str) -> str:
 
 def _series(k: int, z: complex, use: str) -> complex:
     """The n-sum of D_k(z) on branch use ('q' or 'inverted'), without the
-    constant terms."""
+    constant terms; on the q branch 0 where the nome e(z) underflows to 0.0."""
     if use == "q":
         q = e_of(z)
+        if q == 0.0:  # every term is 0, and z^(k+1) may overflow
+            return 0j
         zk1 = z ** (k + 1)
 
         def term(n: int) -> complex:

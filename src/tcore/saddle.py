@@ -11,12 +11,12 @@ the rescaled equation behind the kappa-regime constants A(kappa), B(kappa).
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 from .modular import _series, eta_log_deriv
 
 Y_REL_TOL = 1e-12
-MAX_BISECTIONS = 200
 _BRACKET_NUDGE = 1e-15
 # |g| below this multiple of the terms that cancel inside g is
 # indistinguishable from rounding noise: at small t*y the root sits a relative
@@ -26,17 +26,16 @@ RESIDUAL_NOISE_REL = 1e-9
 INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
 # Rounding of a saddle-point quantity, relative to the size of the terms that
 # cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
-# saddle ordinate, kappa/24 in the relative v(kappa), A and B.  Against
-# 50-digit evaluations (t = 1e3..1e8, n = 5e4..1e8, kappa = 3e4..1e20) these
-# ratios stayed <= 2.1e-16, 7e-17 and 2.0e-16, so 8 ulp of 1 keeps a margin
-# above 5x.  A result is trusted only while ROUNDOFF_REL times that size stays
-# within INTERVAL_PADDING.
+# saddle ordinate.  Against 50-digit evaluations (t = 1e3..1e8, n = 5e4..1e8)
+# these stayed <= 2.1e-16 and 7e-17, so 8 ulp of 1 keeps a margin above 5x.
+# A result is trusted only while ROUNDOFF_REL times that size stays within
+# INTERVAL_PADDING.
 ROUNDOFF_REL = 8.0 * 2.0**-52
 SADDLE_MIN_T = 1000  # the certified saddle regimes need min(t, 1/y) >= this, so t >= it
 
 
 class SolverError(RuntimeError):
-    """Bracket-sign failure or non-convergence of a root solve."""
+    """Bracket-sign failure of a root solve, or no root to solve for."""
 
 
 def _d(k: int, y: float) -> float:
@@ -45,7 +44,9 @@ def _d(k: int, y: float) -> float:
 
 
 def shifted_index(t: int, n: int) -> float:
-    """M = N + (t^2 - 1)/24, the exponent-shifted index."""
+    """M = N + (t^2 - 1)/24; ValueError where t^2 overflows a double."""
+    if t * t > sys.float_info.max:
+        raise ValueError(f"t = {t} is too large: t^2 overflows a double")
     return n + (t * t - 1) / 24.0
 
 
@@ -102,11 +103,11 @@ class SaddleResult(NamedTuple):
 
 def _bisect(f, lo: float, hi: float) -> tuple:
     """Bisect a decreasing f on [lo, hi] (f(lo) > 0 >= f(hi) up to noise)
-    until hi - lo <= Y_REL_TOL * hi; returns (midpoint, bisections)."""
+    until hi - lo <= Y_REL_TOL * hi; returns (midpoint, bisections), at most
+    log2(hi/lo) + 41 for 0 < lo < hi, hi normal: while hi - lo exceeds an
+    ulp of hi, each rounded midpoint lies strictly between them."""
     iterations = 0
     while hi - lo > Y_REL_TOL * hi:
-        if iterations >= MAX_BISECTIONS:
-            raise SolverError(f"no convergence after {MAX_BISECTIONS} bisections")
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -167,58 +168,51 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
     )
 
 
-def _inverted_sum(k: int, v: float) -> float:
-    """S_k(v): the inverted-branch n-sum of D_k(iv), without its constant terms.
-    Below v = 1, where eta_log_deriv takes that branch,
-
-        D_0(iv) = S_0 + 1/24 + (v/4 pi) ln v,
-        D_1(iv) = S_1 - 1/24 + v/4 pi,
-        D_2(iv) = S_2 + 1/12 - v/4 pi,
-
-    and S_k is of size e^(-2 pi/v), so the kappa formulas cancel the
-    constants by hand instead of in rounding."""
-    return _series(k, complex(0.0, v), "inverted").real
+def _n_sum(k: int, v: float) -> float:
+    """S_k(v), the n-sum of D_k(iv) on eta_log_deriv's branch, of size
+    e^(-2 pi v) or e^(-2 pi/v); the kappa formulas cancel the constant terms
+    by hand.  From v = 1 up D_0, D_1, D_2 = S_0 + v^2/24, S_1 + v^2/24, S_2;
+    below, S_0 + 1/24 + (v/4 pi) ln v, S_1 - 1/24 + v/4 pi, S_2 + 1/12 - v/4 pi."""
+    if v < 1.0 and math.exp(-2.0 * math.pi / v) == 0.0:
+        return 0.0  # the nome e^(-2 pi/v) underflowed, and 2 pi n/v may overflow
+    return _series(k, complex(0.0, v), "q" if v >= 1.0 else "inverted").real
 
 
 def scale_residual(kappa: float, v: float) -> float:
-    """h(v) = 1/(24 v^2) - 1/24 + D_1(iv)/v^2 - 1/kappa; decreasing in v.
-    Below v = 1 it is S_1/v^2 + 1/(4 pi v) - 1/24 - 1/kappa: there the terms
-    of size 1/(24 v^2) cancel exactly, where in floats they would swamp
-    1/kappa as kappa ~ 4 pi v falls."""
+    """h(v) = 1/(24 v^2) - 1/24 + D_1(iv)/v^2 - 1/kappa, decreasing in v.  As
+    D_1(iv)/v^2 = E_2(iv)/24, with G(v) = sum_n sigma(n) e^(-2 pi n v) > 0, h is
+    1/(24 v^2) - G(v) - 1/kappa (S_1 = -v^2 G(v)), evaluated so from v = 1,
+    and 1/(4 pi v) - 1/24 + G(1/v)/v^2 - 1/kappa (S_1 = G(1/v)) below."""
+    s = _n_sum(1, v)
     if v < 1.0:
-        return _inverted_sum(1, v) / (v * v) + 1.0 / (4.0 * math.pi * v) - 1.0 / 24.0 - 1.0 / kappa
-    return 1.0 / (24.0 * v * v) - 1.0 / 24.0 + _d(1, v) / (v * v) - 1.0 / kappa
+        return s / v / v + 1.0 / (4.0 * math.pi * v) - 1.0 / 24.0 - 1.0 / kappa
+    return (1.0 / 24.0 + s) / v / v - 1.0 / kappa
 
 
 def solve_scaled_saddle(kappa: float) -> float:
-    """The rescaled saddle ordinate v(kappa): root of h(v) = 0.
-
-    h is a decreasing bijection of (0, inf) onto (0, inf) shifted by 1/kappa,
-    so an automatically expanded bracket plus bisection always lands.
-
-    Past v ~ 1, D_1(iv)/v^2 is 1/24 up to e^(-2 pi v): the terms of size 1/24
-    in h cancel down to 1/kappa, and as v h'(v) = -2/kappa at the root
-    (v^2 ~ kappa/24), v carries a relative rounding of about 2^-53 kappa/48.
-    So SolverError is raised where ROUNDOFF_REL times kappa/24, the size of
-    the cancelling terms against h, exceeds INTERVAL_PADDING: above ~1.35e7.
-    """
-    if not 0.0 < kappa < math.inf:
-        raise ValueError("kappa must be positive and finite")
-    if ROUNDOFF_REL * kappa / 24.0 > INTERVAL_PADDING:
-        raise SolverError(f"kappa {kappa!r} is past the float-safe domain kappa <= 1.35e7")
-    lo = hi = 1.0
-    for _ in range(200):
-        if scale_residual(kappa, hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("upper bracket expansion failed")
-    for _ in range(200):
-        if scale_residual(kappa, lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise SolverError("lower bracket expansion failed")
+    """v(kappa), the root of h (scale_residual), bisected from an a-priori
+    bracket (lo, hi) with hi <= 2 lo, in at most 41 steps.  As G > 0, the
+    forms of h give h(v) > 1/(4 pi v) - 1/24 - 1/kappa, 0 at lo = kappa/(4 pi
+    (1 + kappa/24)), and h(v) < 1/(24 v^2) - 1/kappa, 0 at hi = sqrt(kappa/24),
+    so h(lo) > 0 > h(hi).  As G(x) <= C_a e^(-2 pi x) for 2 pi x >= a, with
+    C_a = sum_n sigma(n) e^(-a (n-1)), C_2pi < 1.006 and C_4pi < 1.0001:
+    - if u = 2 lo <= 1/2, h(u) = G(1/u)/u^2 - (1/24 + 1/kappa)/2 < 0, as
+      e^(-2 pi/u)/u^2 rises up to u = pi: G(1/u)/u^2 <= 4 C_4pi e^(-4 pi)
+      < 1.4e-5 < 1/48, and hi = u;
+    - if w = hi/2 >= 1, h(w) = 1/(32 w^2) - G(w) > 0, as w^2 e^(-2 pi w)
+      falls from w = 1/pi: 32 w^2 G(w) <= 32 C_2pi e^(-2 pi) < 0.061, and lo = w;
+    - else 3.6 < kappa < 96, and hi/lo = 4 pi (1 + kappa/24)/sqrt(24 kappa) < 1.56.
+    So hi - lo <= lo, and _bisect ends within log2(1/Y_REL_TOL) < 40 halvings
+    (41 with rounding).  ValueError unless kappa is a finite normal double
+    (>= 2.2e-308), below which lo and 1/kappa lose their digits."""
+    if not sys.float_info.min <= kappa < math.inf:
+        raise ValueError("kappa must be finite and at least 2.2e-308 (a normal double)")
+    lo = kappa / (4.0 * math.pi * (1.0 + kappa / 24.0))
+    hi = math.sqrt(kappa / 24.0)
+    if 2.0 * lo <= 0.5:
+        hi = 2.0 * lo
+    elif hi >= 2.0:
+        lo = 0.5 * hi
     return _bisect(lambda v: scale_residual(kappa, v), lo, hi)[0]
 
 
@@ -233,22 +227,18 @@ class KappaConstants(NamedTuple):
 
 
 def kappa_constants(kappa: float) -> KappaConstants:
-    """A = (kappa/v^2)(1/12 - D_0(iv) + D_1(iv))^2,
-    B = (kappa/v^2) sqrt(1/12 - D_2(iv)) at v = v(kappa).  Raises
-    SolverError outside kappa ~ 1e-47..1.35e7 (solve_scaled_saddle: below,
-    the bracket or the bisection runs out) and where A or B is no positive
-    finite number."""
+    """A = (kappa/v^2)(1/12 - D_0(iv) + D_1(iv))^2 and B = (kappa/v^2)
+    sqrt(1/12 - D_2(iv)) at v = v(kappa), which G > 0 confines to an a-priori
+    bracket (solve_scaled_saddle), from the n-sums S_k with the constants
+    cancelled by hand and no product that over- or underflows: positive and
+    finite at every kappa solve_scaled_saddle accepts."""
     v = solve_scaled_saddle(kappa)
-    scale = kappa / (v * v)
-    if v < 1.0:  # the constant terms cancelled by hand (_inverted_sum)
+    s0, s1, s2 = (_n_sum(k, v) for k in range(3))
+    if v < 1.0:
         c = v / (4.0 * math.pi)
-        lead = _inverted_sum(1, v) - _inverted_sum(0, v) + c * (1.0 - math.log(v))
-        curvature = c - _inverted_sum(2, v)
+        lead, curvature = s1 - s0 + c * (1.0 - math.log(v)), c - s2
     else:
-        lead = 1.0 / 12.0 - _d(0, v) + _d(1, v)
-        curvature = 1.0 / 12.0 - _d(2, v)
-    a = scale * lead**2
-    b = scale * math.sqrt(max(curvature, 0.0))
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise SolverError(f"kappa {kappa!r}: A = {a!r}, B = {b!r} not both positive, finite")
+        lead, curvature = 1.0 / 12.0 + s1 - s0, 1.0 / 12.0 - s2
+    a = kappa / v * (lead / v) * lead
+    b = kappa / v * (math.sqrt(curvature) / v)
     return KappaConstants(kappa=kappa, v=v, A=a, B=b)

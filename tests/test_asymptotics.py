@@ -26,7 +26,7 @@ from tcore.asymptotics import (
     select_regime,
     small_t_hypotheses,
 )
-from tcore.saddle import SolverError, kappa_constants, solve_saddle
+from tcore.saddle import kappa_constants, solve_saddle
 from tcore.selftest import (
     central_arc_ratio,
     curvature_on_axis,
@@ -256,6 +256,20 @@ def test_select_regime_examples():
     assert select_regime(1000, 60_000) == "main"
     assert select_regime(6, 20) == "kappa_heuristic"  # nothing certifies
     assert select_regime(600, 10_000) == "exact"
+    # above big_t_threshold(n), but past the exact regime's cap
+    assert select_regime(74989, 100_001) == "kappa_heuristic"
+
+
+def test_t_squared_beyond_doubles_is_refused():
+    t = 10**155  # t^2 overflows a double from t ~ 1.34e154
+    for call in (
+        lambda: estimate(t, 5),
+        lambda: estimate(t, 10**10, regime="kappa_heuristic"),
+        lambda: estimate_main(t, 10**6),
+        lambda: certify_pair(t, 10**6),
+    ):
+        with pytest.raises(ValueError, match="overflows? a double"):
+            call()
 
 
 def test_certified_estimate_chooser():
@@ -268,50 +282,48 @@ def test_certified_estimate_chooser():
 
 
 # t from 2 to 1e8 and n from 1 to 1e8, about four and three steps a decade,
-# with the points whose bracket used to fail by rounding
+# with the points whose bracket used to fail by rounding, and huge t: the
+# nome e(i t y) underflows to 0 from t ~ 1e104, and t^2 is a double up to
+# t ~ 1.34e154
 TOTAL_TS = sorted(
-    {2, 3, 4, 5, 6, 7, 8, 10, 4500, 30000, 300000}
+    {2, 3, 4, 5, 6, 7, 8, 10, 4500, 30000, 300000, 10**20, 10**104, 10**110, 10**153}
     | {round(10 ** (k / 4)) for k in range(4, 33)}
 )
 TOTAL_NS = sorted({1, 2, 5, 20500, 25000} | {round(10 ** (k / 3)) for k in range(1, 25)})
 
 
 def test_total_on_domain_grid():
-    """No exception anywhere on the grid, apart from the exact regime's cap."""
+    """No exception anywhere on the grid, and auto never picks the exact
+    regime past its cap."""
     for t in TOTAL_TS:
         for n in TOTAL_NS:
             solve_saddle(t, n)
             estimate_main(t, n)
             estimate_difference(t, n)
             regime = select_regime(t, n)
-            if regime == "exact" and n > EXACT_REGIME_MAX_N:
-                with pytest.raises(ValueError, match="exact regime cap"):
-                    estimate(t, n)
-            else:
-                assert estimate(t, n).regime == regime
+            assert regime != "exact" or n <= EXACT_REGIME_MAX_N, (t, n)
+            assert estimate(t, n).regime == regime
             certify_pair(t, n, exact_cap=0)
 
 
 def test_total_at_large_n():
     """Where the curvature D_2(iy) - D_2(ity) or the kappa constant B rounds
-    to zero, the estimators still return, uncertified, and estimate raises
-    only SolverError."""
+    to zero, the estimators still return, uncertified, and so does
+    estimate."""
     for t in TOTAL_TS:
         for n in (10**17, 10**21, 10**24):
             main = estimate_main(t, n)
             assert math.isfinite(main.log_value) or not main.hypotheses_ok, (t, n)
             estimate_difference(t, n)
             certify_pair(t, n, exact_cap=0)
-            try:
-                estimate(t, n)
-            except SolverError:
-                pass
+            estimate(t, n)
 
 
 def test_exact_regime_on_domain_grid():
     """The exact regime answers wherever neither certified regime holds and
-    t > 1.5 (sqrt 6 / 2 pi) sqrt(n) log(n), at 477 grid points with
-    n <= 25000, and its interval holds the exact log."""
+    t > 1.5 (sqrt 6 / 2 pi) sqrt(n) log(n), at 541 grid points with
+    n <= 25000 (64 of them at t = 1e20..1e153), and its interval holds the
+    exact log."""
     points = 0
     for t in TOTAL_TS:
         for n in TOTAL_NS:
@@ -330,7 +342,7 @@ def test_exact_regime_on_domain_grid():
             assert est.log_value == lg, (t, n)
             lo, hi = log_interval(est)
             assert lo < lg < hi, (t, n)
-    assert points == 477
+    assert points == 541
 
 
 def test_estimate_dispatch():

@@ -73,6 +73,8 @@ def test_usage_errors_exit_2(capsys):
         ["--kappa", "nan"],
         ["--kappa", "inf"],
         ["--kappa", "0"],
+        ["--kappa", "-1"],
+        ["--kappa", "1e-310"],  # below the least normal double
         ["--table", "1,nan"],
         ["--table", "1,inf"],
     ):
@@ -106,21 +108,32 @@ def test_saddle_solver_failure_exit_3(capsys):
     code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "0")
     assert code == 3
     assert recs[-1]["kind"] == "solver"
-    # kappa = 4e-70: v(kappa) ~ kappa/(4 pi) lies below the halved bracket 2^-200
-    code, recs = run_cli(capsys, "estimate", "--t", "2", "--n", str(10**70))
-    assert code == 3
-    assert recs[-1]["kind"] == "solver"
 
 
 def test_kappa_heuristic_answers_at_small_kappa(capsys):
     # kappa = 49/1e17: with the constant terms of D_0..D_2 cancelled in
-    # floats, B rounded to 0 here and the estimate exited 3
-    code, recs = run_cli(capsys, "estimate", "--t", "7", "--n", str(10**17))
+    # floats, B rounded to 0 here and the estimate exited 3; kappa = 4e-70
+    # lay below the bracket halved from v = 1, and exited 3 too
+    for t, n in ((7, 10**17), (2, 10**70)):
+        code, recs = run_cli(capsys, "estimate", "--t", str(t), "--n", str(n))
+        assert code == 0
+        result = recs[-1]["result"]
+        assert result["regime"] == "kappa_heuristic"
+        assert math.isfinite(result["log_value"])
+        assert result["diagnostics"]["B"] > 0.0
+
+
+def test_estimate_huge_t(capsys):
+    # the nome e(i t y) underflows to 0 here, and D_2 once formed (i t y)^3
+    code, recs = run_cli(capsys, "estimate", "--t", str(10**110), "--n", "200000")
     assert code == 0
-    result = recs[-1]["result"]
-    assert result["regime"] == "kappa_heuristic"
-    assert math.isfinite(result["log_value"])
-    assert result["diagnostics"]["B"] > 0.0
+    assert recs[-1]["result"]["regime"] == "kappa_heuristic"
+    # t^2 overflows a double
+    for command in ("estimate", "saddle"):
+        code, recs = run_cli(capsys, command, "--t", str(10**155), "--n", "200000")
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
+        assert "t^2 overflows a double" in recs[-1]["error"]
 
 
 def test_saddle_rounding_at_upper_endpoint_exit_0(capsys):
@@ -170,12 +183,17 @@ def test_estimate_forced_hypothesis_failure_exit_4(capsys):
 
 
 def test_estimate_big_t_beyond_cap_exit_2(capsys):
-    # auto-selects the exact regime (the main regime's roundoff budget fails
-    # there), whose exact p-series would need days
-    code, recs = run_cli(capsys, "estimate", "--t", "100000000", "--n", "10000000")
-    assert code == 2
-    assert recs[-1]["kind"] == "usage"
-    assert "exact regime cap 100000" in recs[-1]["error"]
+    # above the threshold t > big_t_threshold(n) but past the exact regime's
+    # cap, whose exact p-series would need hours to days: auto takes the
+    # kappa heuristic (kappa = 56232 and 1e9), a forced exact regime exits 2
+    for t, n in (("74989", "100001"), ("100000000", "10000000")):
+        code, recs = run_cli(capsys, "estimate", "--t", t, "--n", n)
+        assert code == 0
+        assert recs[-1]["result"]["regime"] == "kappa_heuristic"
+        code, recs = run_cli(capsys, "estimate", "--t", t, "--n", n, "--regime", "exact")
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
+        assert "exact regime cap 100000" in recs[-1]["error"]
 
 
 @pytest.mark.parametrize("t,n", [(539, 10000), (50, 100000), (1000, 60000), (6, 20), (2, 2)])
@@ -290,12 +308,32 @@ def test_kappa_command(capsys):
     assert result["B"] > 0.0
 
 
-def test_kappa_past_float_safe_domain_exit_3(capsys):
-    # at kappa = 1e20 doubles lose v(kappa): the unchecked solve printed A = 113
+def _kappa_limits(kappa: float) -> tuple:
+    """(A, B) where the n-sums of D_0..D_2 are below every digit, e^(-2 pi v)
+    or e^(-2 pi/v) < 1e-1000 at the kappas used here.  For large kappa
+    v = sqrt(kappa/24), A = 1/6 and B = 4 sqrt 3; for small kappa
+    v = kappa/(4 pi (1 + kappa/24)) and, with c = v/(4 pi),
+    A = kappa c^2 (1 - ln v)^2/v^2 and B = kappa sqrt(c)/v^2."""
+    if kappa > 1.0:
+        return 1.0 / 6.0, 4.0 * math.sqrt(3.0)
+    v = kappa / (4.0 * math.pi * (1.0 + kappa / 24.0))
+    c = v / (4.0 * math.pi)
+    return kappa * (c * (1.0 - math.log(v)) / v) ** 2, kappa / v * (math.sqrt(c) / v)
+
+
+def test_kappa_at_extreme_kappas_exit_0(capsys):
+    # at kappa = 1e20 doubles once lost v(kappa) (an unchecked solve printed
+    # A = 113), and past kappa ~ 1.35e7 the command exited 3
     code, recs = run_cli(capsys, "kappa", "--kappa", "1e20")
-    assert code == 3
-    assert recs[-1]["kind"] == "solver"
-    assert "float-safe" in recs[-1]["error"]
+    assert code == 0
+    rows = [recs[-1]["result"]]
+    code, recs = run_cli(capsys, "kappa", "--table", "1e-60,1e20,1e300")
+    assert code == 0
+    rows += recs[-1]["result"]["table"]
+    for row in rows:
+        a, b = _kappa_limits(row["kappa"])
+        assert abs(row["A"] - a) <= 1e-9 * a, row
+        assert abs(row["B"] - b) <= 1e-9 * b, row
 
 
 def test_kappa_monotone_v(capsys):

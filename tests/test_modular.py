@@ -236,6 +236,19 @@ def test_dual_expansion_off_axis():
         assert abs(a - b) <= 1e-10 * max(abs(a), 1e-30)
 
 
+def test_underflowed_nome_leaves_the_constant_terms():
+    # e(z) underflows to 0.0 from y ~ 119, e(-1/z) below y ~ 0.0084; the
+    # n-sums are then 0, and at y = 1e103 (i y)^3 overflows, so the q-branch
+    # sum is not formed
+    for k in range(5):
+        assert eta_log_deriv(k, complex(0.0, 1e103)) == (1e206 / 24.0 if k <= 1 else 0.0)
+        assert eta_log_deriv_prime(k, complex(0.0, 1e103)) == (-1e103j / 12.0 if k <= 1 else 0.0)
+    y = 1e-3
+    want = {1: -1.0 / 24.0 + y / (4.0 * PI), 2: 1.0 / 12.0 - y / (4.0 * PI)}
+    for k, value in want.items():
+        assert eta_log_deriv(k, complex(0.0, y)) == pytest.approx(value, rel=1e-15, abs=0)
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         eta_log_deriv(2, complex(0.5, 0.6))  # |x| >= y/3 with y < 1

@@ -1,9 +1,11 @@
 """Saddle solver tests, including an independent golden-section cross-check."""
 
 import math
+import sys
 
 import pytest
 
+from tcore import saddle
 from tcore.modular import eta_quotient_log
 from tcore.saddle import (
     INTERVAL_PADDING,
@@ -124,6 +126,28 @@ def test_scaled_saddle_contract():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             solve_scaled_saddle(bad)
+
+
+def test_scaled_saddle_total_in_41_bisections(monkeypatch):
+    # the a-priori bracket kappa/(4 pi (1 + kappa/24)) < v < sqrt(kappa/24),
+    # tightened to hi <= 2 lo, needs no search at any kappa
+    midpoints = []
+
+    def counted(kappa, v):
+        midpoints.append(v)
+        return scale_residual(kappa, v)
+
+    monkeypatch.setattr(saddle, "scale_residual", counted)
+    extremes = [sys.float_info.min, 1e-307, sys.float_info.max]
+    for kappa in extremes + [10.0**e for e in range(-300, 301, 25)]:
+        midpoints.clear()
+        v = solve_scaled_saddle(kappa)
+        assert len(midpoints) <= 41, kappa
+        lo, hi = kappa / (4.0 * math.pi * (1.0 + kappa / 24.0)), math.sqrt(kappa / 24.0)
+        assert all(lo * (1 - 1e-15) <= w <= hi * (1 + 1e-15) for w in midpoints), kappa
+        assert abs(scale_residual(kappa, v)) * kappa < 1e-10, kappa
+        consts = kappa_constants(kappa)
+        assert 0.0 < consts.A < math.inf and 0.0 < consts.B < math.inf, kappa
 
 
 def test_scaled_saddle_monotone():

@@ -9,11 +9,15 @@ for eta rather than from the package's series:
 
 with the derivatives taken by mpmath.diff.  The saddle root y* solves the
 same equation as saddle.solve_saddle, and the main-term log is the formula of
-asymptotics.estimate_main, both evaluated at this precision.  The package
-itself never imports mpmath.
+asymptotics.estimate_main, both evaluated at this precision.  Where
+mpmath.diff fails (tiny v) the kappa constants also have a second oracle,
+direct sigma-sums for G(v) = sum_n sigma(n) e^(-2 pi n v) and its kin,
+checked against the product formula where both reach.  The package itself
+never imports mpmath.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -24,7 +28,8 @@ from tcore.asymptotics import (
     estimate_main,
     select_regime,
 )
-from tcore.saddle import Y_REL_TOL, SolverError, _d, kappa_constants, solve_saddle
+from tcore import saddle
+from tcore.saddle import Y_REL_TOL, _d, kappa_constants, solve_saddle, solve_scaled_saddle
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -97,19 +102,97 @@ def scale_residual(kappa, v):
     return 1 / (24 * v * v) - mpmath.mpf(1) / 24 + d(1, v) / (v * v) - 1 / mpmath.mpf(kappa)
 
 
+def lemma_bracket(kappa):
+    """The a-priori bracket of v(kappa) (saddle.solve_scaled_saddle) at this
+    precision: lo = kappa/(4 pi (1 + kappa/24)), hi = sqrt(kappa/24), where
+    the G-free parts of the two forms of h vanish, tightened to hi = 2 lo
+    when 2 lo <= 1/2 and to lo = hi/2 when hi >= 2."""
+    kappa = mpmath.mpf(kappa)
+    lo = kappa / (4 * mpmath.pi * (1 + kappa / 24))
+    hi = mpmath.sqrt(kappa / 24)
+    if 2 * lo <= mpmath.mpf(1) / 2:
+        return lo, 2 * lo
+    if hi >= 2:
+        return hi / 2, hi
+    return lo, hi
+
+
+def bisect_root(f, lo, hi):
+    """The root of a decreasing f in [lo, hi], bisected to 1e-20 relative."""
+    while hi - lo > 1e-20 * hi:
+        mid = (lo + hi) / 2
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def kappa_oracle(kappa):
-    """(v, A, B) of saddle.kappa_constants at this precision: v the root of h,
-    bracketed by doubling and halving from 1 as solve_scaled_saddle does."""
-    lo = hi = mpmath.mpf(1)
-    while scale_residual(kappa, hi) >= 0:
-        hi *= 2
-    while scale_residual(kappa, lo) <= 0:
-        lo /= 2
-    v = mpmath.findroot(lambda w: scale_residual(kappa, w), (lo, hi), solver="anderson")
+    """(v, A, B) of saddle.kappa_constants at this precision from the product
+    formula: v the root of h inside lemma_bracket."""
+    v = bisect_root(lambda w: scale_residual(kappa, w), *lemma_bracket(kappa))
     scale = kappa / (v * v)
     a = scale * (mpmath.mpf(1) / 12 - d(0, v) + d(1, v)) ** 2
     b = scale * mpmath.sqrt(mpmath.mpf(1) / 12 - d(2, v))
     return v, a, b
+
+
+def sigma_sums(u):
+    """(G, G_0, G_1)(u) = sum_n (1, 1/n, n) sigma(n) e^(-2 pi n u), summed
+    directly at this precision until a term is below its last digit."""
+    x = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(u))
+    g = g0 = g1 = mpmath.mpf(0)
+    n, xn = 1, x
+    while True:
+        term = sum(k for k in range(1, n + 1) if n % k == 0) * xn
+        g, g0, g1 = g + term, g0 + term / n, g1 + n * term
+        if n * term <= mpmath.eps * g1:
+            return g, g0, g1
+        n, xn = n + 1, xn * x
+
+
+def sigma_h(kappa, v):
+    """h(v) from the sigma-sums, in the form whose constants cancel by hand:
+    1/(24 v^2) - G(v) - 1/kappa from v = 1, else
+    1/(4 pi v) - 1/24 + G(1/v)/v^2 - 1/kappa."""
+    return sum(_sigma_h_terms(kappa, v))
+
+
+def _sigma_h_terms(kappa, v):
+    v = mpmath.mpf(v)
+    if v >= 1:
+        return 1 / (24 * v * v), -sigma_sums(v)[0], -1 / mpmath.mpf(kappa)
+    return (
+        1 / (4 * mpmath.pi * v),
+        -mpmath.mpf(1) / 24,
+        sigma_sums(1 / v)[0] / (v * v),
+        -1 / mpmath.mpf(kappa),
+    )
+
+
+def sigma_kappa_oracle(kappa):
+    """(v, A, B) from the sigma-sums, at any kappa: v bisected inside
+    lemma_bracket, and with L(y) = log eta(iy) = -pi y/12 - sum_n (sigma(n)/n)
+    e^(-2 pi n y) differentiated by hand (through L(y) = -log(y)/2 + L(1/y)
+    below v = 1), c = v/(4 pi) and u = 1/v,
+
+        1/12 - D_0 + D_1 = 1/12 - (v/2 pi) G_0(v) - v^2 G(v),          v >= 1,
+                         = c (1 - ln v) + G(u) - (v/2 pi) G_0(u),       v < 1,
+        1/12 - D_2       = 1/12 - 2 pi v^3 G_1(v),                      v >= 1,
+                         = c + 2 G(u) - 2 pi G_1(u)/v,                  v < 1."""
+    v = bisect_root(lambda w: sigma_h(kappa, w), *lemma_bracket(kappa))
+    if v >= 1:
+        g, g0, g1 = sigma_sums(v)
+        lead = mpmath.mpf(1) / 12 - v / (2 * mpmath.pi) * g0 - v * v * g
+        curvature = mpmath.mpf(1) / 12 - 2 * mpmath.pi * v**3 * g1
+    else:
+        g, g0, g1 = sigma_sums(1 / v)
+        c = v / (4 * mpmath.pi)
+        lead = c * (1 - mpmath.log(v)) + g - v / (2 * mpmath.pi) * g0
+        curvature = c + 2 * g - 2 * mpmath.pi * g1 / v
+    scale = mpmath.mpf(kappa) / (v * v)
+    return v, scale * lead**2, scale * mpmath.sqrt(curvature)
 
 
 def main_log(t: int, n: int):
@@ -207,29 +290,69 @@ def test_regime_changes_at_the_float_safe_boundary():
     exponent = 2.0 * math.pi * est.diagnostics["shifted_index"] * est.diagnostics["y"]
     assert ROUNDOFF_REL * exponent > INTERVAL_PADDING
     assert not est.hypotheses_ok
-    assert select_regime(10**6, 10**6) == "exact"
+    # above the exact regime's cap N = 100000 auto takes the kappa heuristic
+    assert select_regime(10**6, 10**6) == "kappa_heuristic"
 
 
-# a point a decade over kappa = 1e-14..1e20, and either side of the float-safe
-# bound 24 INTERVAL_PADDING / ROUNDOFF_REL ~ 1.35e7; below kappa ~ 1e-5 the
-# constant terms of D_0..D_2 must cancel by hand (v lost 6.4e-2 at 1e-14)
-KAPPAS = sorted({10.0**e for e in range(-14, 21)} | {1.3e7, 1.4e7})
+# the product-formula oracle: a point a decade over kappa = 1e-14..1e20 (its
+# mpmath.diff fails at smaller v), and 1.3e7 and 1.4e7 either side of the
+# former float-safe cap ROUNDOFF_REL * kappa/24 <= INTERVAL_PADDING
+PRODUCT_KAPPAS = sorted({10.0**e for e in range(-14, 21)} | {1.3e7, 1.4e7})
+# the sigma-sum oracle, checked against the product formula there: every
+# decade from 1e-300 to 1e300, and the least and largest normal doubles
+KAPPAS = sorted(
+    set(PRODUCT_KAPPAS)
+    | {10.0**e for e in range(-300, 301)}
+    | {sys.float_info.min, sys.float_info.max}
+)
 
 
-def test_kappa_constants_match_oracle_or_raise():
-    """v, A and B each match the oracle to the padding, relatively, or the
-    solve raises: past kappa ~ 1e15 doubles lose v entirely (at 1e20 the
-    unchecked solve gave A = 113 against 1/6)."""
-    raised = []
+def test_sigma_oracle_matches_product_oracle():
+    with mpmath.workdps(ORACLE_DPS):
+        for kappa in PRODUCT_KAPPAS:
+            for name, value, ref in zip("vAB", sigma_kappa_oracle(kappa), kappa_oracle(kappa)):
+                assert abs(value - ref) <= 1e-30 * ref, (kappa, name)
+
+
+def test_kappa_constants_match_oracle():
+    """v, A and B each match the oracle to the padding, relatively, at every
+    decade of kappa: the product formula where it reaches, the sigma sums
+    beyond.  A solve that expanded its bracket from v = 1 raised past
+    kappa ~ 1.35e7 and below ~6e-48."""
     with mpmath.workdps(ORACLE_DPS):
         for kappa in KAPPAS:
-            try:
-                consts = kappa_constants(kappa)
-            except SolverError:
-                raised.append(kappa)
-                continue
-            for name, value, ref in zip("vAB", consts[1:], kappa_oracle(kappa)):
+            consts = kappa_constants(kappa)
+            oracle = kappa_oracle if kappa in PRODUCT_KAPPAS else sigma_kappa_oracle
+            for name, value, ref in zip("vAB", consts[1:], oracle(kappa)):
                 err = abs(value - ref) / ref
                 assert err <= INTERVAL_PADDING, (kappa, name, float(err))
-    assert 1e20 in raised
-    assert all(kappa > 1e7 for kappa in raised), raised  # the benchmark's 0.5..1000 and more
+
+
+def _signed_with_noise(kappa, v):
+    """sigma_h(kappa, v), and its rounding at the oracle's precision: that
+    precision times the largest term."""
+    terms = _sigma_h_terms(kappa, v)
+    return sum(terms), mpmath.mpf(10) ** (10 - ORACLE_DPS) * max(abs(x) for x in terms)
+
+
+def test_scaled_bracket_signs_and_bisections(monkeypatch):
+    """h(lo) > 0 > h(hi) on the tightened bracket, and the solve bisects
+    that bracket (its first midpoint is the bracket's) in at most 41 steps.
+    At an a-priori endpoint h equals G(1/lo)/lo^2 or -G(hi), which can lie
+    below the oracle's digits, so its sign is checked up to that noise; at
+    a tightened endpoint, and wherever 3.6 < kappa < 96, it must clear it."""
+    midpoints = []
+    residual = saddle.scale_residual
+    monkeypatch.setattr(saddle, "scale_residual", lambda k, v: midpoints.append(v) or residual(k, v))
+    with mpmath.workdps(ORACLE_DPS):
+        for kappa in KAPPAS:
+            lo, hi = lemma_bracket(kappa)
+            midpoints.clear()
+            solve_scaled_saddle(kappa)
+            assert abs(midpoints[0] - (lo + hi) / 2) <= 1e-15 * hi, kappa
+            assert len(midpoints) <= 41, (kappa, len(midpoints))
+            h_lo, noise_lo = _signed_with_noise(kappa, lo)
+            h_hi, noise_hi = _signed_with_noise(kappa, hi)
+            middle = 3.6 < kappa < 96
+            assert h_lo > (noise_lo if hi >= 2 or middle else -noise_lo), kappa
+            assert h_hi < (-noise_hi if 2 * lo <= 0.5 or middle else noise_hi), kappa
