@@ -14,7 +14,6 @@ interest.
 """
 
 import math
-import sys
 from typing import NamedTuple, Optional
 
 from .modular import eta_quotient_log
@@ -28,7 +27,6 @@ from .saddle import (
     solve_saddle,
 )
 
-HYP_SLACK = 1e-9  # numeric slack when checking hypothesis inequalities
 # Largest n the exact regime accepts: it grows the exact p-series to n, a
 # pure-Python bignum job of several seconds at this size that grows
 # superlinearly beyond it.
@@ -58,11 +56,6 @@ def log_interval(est: CertifiedEstimate) -> tuple:
         raise HypothesisError(f"regime {est.regime} carries no usable interval")
     r = est.rel_error_bound
     return est.log_value + math.log1p(-r), est.log_value + math.log1p(r)
-
-
-def _holds(lhs: float, rhs: float) -> bool:
-    """lhs >= rhs, with tiny slack against float fuzz."""
-    return lhs >= rhs - HYP_SLACK * max(1.0, abs(rhs))
 
 
 # --- log gamma ----------------------------------------------------------------
@@ -109,7 +102,7 @@ def estimate_main(t: int, n: int) -> CertifiedEstimate:
     log_value = 1.5 * math.log(y) + exponent + log_ft - 0.5 * math.log(d2_diff)
     rel = 3.5 * y / d2_diff + INTERVAL_PADDING
     hyp = (
-        _holds(min(t, 1.0 / y), SADDLE_MIN_T)
+        min(t, 1.0 / y) >= SADDLE_MIN_T
         and abs(res.drift) < 2.0 / 25.0
         and ROUNDOFF_REL * exponent <= INTERVAL_PADDING
     )
@@ -128,10 +121,10 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
         c_{t+1}(n+t) - c_t(n+t)  in  c_t(n) * [center - E, center + E],
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
-    saddle ordinate for (t, n).  Certified when min(t, 1/y) >= SADDLE_MIN_T,
-    t y >= 1/2, and y is within the solver's guarantees: its relative
-    rounding, which grows with (t y)^2, stays within the padding
-    (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    saddle ordinate for (t, n).  Certified when 1/y >= SADDLE_MIN_T,
+    t y >= 1/2, and y is within the solver's guarantees (t >= SADDLE_MIN_T,
+    and its relative rounding, which grows with (t y)^2, stays within the
+    padding: ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
     log_value is the log of the (positive) center; the consumer multiplies
     by an exact or certified c_t(n).
     """
@@ -140,11 +133,7 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
     ty = t * y
     center = 2.0 * math.pi * ty - 1.0
     halfwidth = ty * (705.0 * y + 120.0 * ty * math.exp(-2.0 * math.pi * ty))
-    hyp = (
-        _holds(min(t, 1.0 / y), SADDLE_MIN_T)
-        and _holds(ty, 0.5)
-        and res.within_guarantees
-    )
+    hyp = 1.0 / y >= SADDLE_MIN_T and ty >= 0.5 and res.within_guarantees
     diagnostics = _saddle_diagnostics(res)
     diagnostics["multiplier_center"] = center
     diagnostics["multiplier_halfwidth"] = halfwidth
@@ -169,11 +158,11 @@ def small_t_hypotheses(t: int, n: int) -> bool:
     if t < 8:
         return False
     m = shifted_index(t, n)
-    if not _holds(m, 100_000.0):
+    if m < 100_000.0:
         return False
     lhs = t * (t - 1) / (4.0 * math.pi * m)
     rhs = 0.2 * min(2.0 / math.sqrt(3.0), 2.0 * math.pi / math.log(t))
-    return lhs < rhs + HYP_SLACK
+    return lhs < rhs
 
 
 def estimate_small_t(t: int, n: int) -> CertifiedEstimate:
@@ -210,8 +199,9 @@ def big_t_threshold(n: int) -> float:
 
 def exact_regime_holds(t: int, n: int) -> bool:
     """The exact regime's rule: t > big_t_threshold(n), where the inner factor
-    is short, and n <= EXACT_REGIME_MAX_N, where the p-series to n is cheap."""
-    return t > big_t_threshold(n) and n <= EXACT_REGIME_MAX_N
+    is short, and n <= EXACT_REGIME_MAX_N, where the p-series to n is cheap
+    (tested first, so big_t_threshold never sees an n past a double)."""
+    return n <= EXACT_REGIME_MAX_N and t > big_t_threshold(n)
 
 
 def estimate_exact(t: int, n: int) -> CertifiedEstimate:
@@ -251,9 +241,11 @@ def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
     """Growth-law heuristic 2 pi sqrt(A n) - log(B n) with kappa = t^2/n.
 
     The error is o(1) with no explicit constant, so this estimate is never
-    certified (hypotheses_ok is always False)."""
-    if t < 2 or n < 1 or t * t > sys.float_info.max:
-        raise ValueError("requires t >= 2, n >= 1 and t^2 that does not overflow a double")
+    certified (hypotheses_ok is always False).  ValueError outside t >= 2,
+    n >= 1 and the float domain of shifted_index."""
+    if t < 2 or n < 1:
+        raise ValueError("requires t >= 2 and n >= 1")
+    shifted_index(t, n)
     kappa = t * t / n
     consts = kappa_constants(kappa)
     log_value = 2.0 * math.pi * math.sqrt(consts.A * n) - math.log(consts.B * n)

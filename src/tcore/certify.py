@@ -52,7 +52,10 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
     separated ratio intervals, or, last, exact comparison where the exact
     regime's rule holds (asymptotics.exact_regime_holds).  A pair no route
     settles is "inconclusive"; for t >= 1, n >= 0 the routes raise only
-    ValueError, past exact_cap where (t + 1)^2 overflows a double.
+    ValueError, past exact_cap: where (t + 1)^2 or N + (t^2 - 1)/24
+    overflows a double (saddle.shifted_index, checked before any float
+    route), and for t >= SADDLE_MIN_T where the saddle ordinate squared
+    underflows (saddle.saddle_bracket; from n ~ 1e165 at t = 2000).
     margin is the worst-case slack of the winning method (log units for the
     exact and ratio routes, multiplier units for the difference route).
     Outside Stanton's domain 4 <= t < n - 1, where c_t(n) > c_{t+1}(n) is no
@@ -75,21 +78,18 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
         estimate_difference,
         exact_regime_holds,
         log_interval,
+        shifted_index,
     )
 
+    shifted_index(t + 1, n)  # the float-domain gate of every route below
     if t >= SADDLE_MIN_T and n > t:
         est = estimate_difference(t, n - t)
-        lower = (
-            est.diagnostics["multiplier_center"] - est.diagnostics["multiplier_halfwidth"]
-        )
+        diag = est.diagnostics
+        lower = diag["multiplier_center"] - diag["multiplier_halfwidth"]
         if est.hypotheses_ok and lower > 0.0:
             return PairCertificate(
                 t=t, n=n, method="difference", ok=True, equality=False, margin=lower,
-                detail={
-                    "y": est.diagnostics["y"],
-                    "multiplier_center": est.diagnostics["multiplier_center"],
-                    "multiplier_halfwidth": est.diagnostics["multiplier_halfwidth"],
-                },
+                detail={k: diag[k] for k in ("y", "multiplier_center", "multiplier_halfwidth")},
             )
     est_lo = certified_estimate(t, n)
     est_hi = certified_estimate(t + 1, n)

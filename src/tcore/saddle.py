@@ -44,9 +44,11 @@ def _d(k: int, y: float) -> float:
 
 
 def shifted_index(t: int, n: int) -> float:
-    """M = N + (t^2 - 1)/24; ValueError where t^2 overflows a double."""
+    """M = N + (t^2 - 1)/24; ValueError where t^2 or M overflows a double."""
     if t * t > sys.float_info.max:
         raise ValueError(f"t = {t} is too large: t^2 overflows a double")
+    if n > sys.float_info.max - (t * t - 1) / 24.0:
+        raise ValueError("n is too large: N + (t^2 - 1)/24 overflows a double")
     return n + (t * t - 1) / 24.0
 
 
@@ -66,14 +68,14 @@ def _residual_noise(m: float, y: float) -> float:
 
 
 def saddle_bracket(t: int, n: int) -> tuple:
-    """A-priori bracket (lo, hi) containing the saddle ordinate."""
+    """A-priori bracket (lo, hi) of the saddle ordinate; ValueError where lo^2 underflows."""
     m = shifted_index(t, n)
     lo = (t - 1) / (4.0 * math.pi * m)
+    if lo * lo == 0.0:
+        raise ValueError(f"n is too large for t = {t}: the saddle ordinate squared underflows")
     disc = 24.0 * n - 1.0 + 9.0 / math.pi**2
     if disc <= 0.0:
-        raise SolverError(
-            f"no finite saddle ordinate for n = {n}: g stays above 0"
-        )
+        raise SolverError(f"no finite saddle ordinate for n = {n}: g stays above 0")
     hi = 1.0 / (3.0 / math.pi + math.sqrt(disc))
     return lo, hi
 
@@ -131,10 +133,8 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
     residual beyond the noise floor at either endpoint signals an evaluation
     bug.
     """
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if t < 2 or n < 0:
+        raise ValueError("requires t >= 2 and n >= 0")
     b_lo, b_hi = saddle_bracket(t, n)
     m = shifted_index(t, n)
     lo = b_lo * (1.0 + _BRACKET_NUDGE)  # strict inequalities in the bracket

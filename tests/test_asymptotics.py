@@ -4,6 +4,7 @@ exercised in the acceptance suite."""
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -270,6 +271,57 @@ def test_t_squared_beyond_doubles_is_refused():
     ):
         with pytest.raises(ValueError, match="overflows? a double"):
             call()
+
+
+def test_hypotheses_are_checked_without_slack(monkeypatch):
+    """A hypothesis missed by less than 1e-9 relative is refused, and the
+    same margin on the right side still holds: 1/y against SADDLE_MIN_T in
+    the difference regime, then M >= 10^5 and t(t-1)/(4 pi M) < rhs in the
+    small-t regime."""
+    from tcore import asymptotics
+
+    real = solve_saddle(2000, 10**6)
+    assert real.within_guarantees
+    for y, ok in ((1.0000000005e-3, False), (0.9999999995e-3, True)):
+        monkeypatch.setattr(asymptotics, "solve_saddle", lambda t, n, y=y: real._replace(y=y))
+        assert estimate_difference(2000, 10**6).hypotheses_ok is ok, y
+    rhs = 0.2 * min(2.0 / math.sqrt(3.0), 2.0 * math.pi / math.log(1000))
+    for t, m, ok in (
+        (8, 1e5 * (1.0 - 1e-10), False),
+        (8, 1e5, True),
+        (1000, 1000 * 999 / (4.0 * math.pi * rhs * (1.0 + 1e-10)), False),
+        (1000, 1000 * 999 / (4.0 * math.pi * rhs * (1.0 - 1e-10)), True),
+    ):
+        monkeypatch.setattr(asymptotics, "shifted_index", lambda t, n, m=m: m)
+        assert small_t_hypotheses(t, 10**5) is ok, (t, m)
+
+
+def test_n_beyond_the_float_domain_is_refused():
+    """Every float route refuses an n past a double with ValueError, and so
+    does an n that is a double where M = N + (t^2 - 1)/24 overflows (there
+    the small-t regime used to certify log c = inf).  The saddle routes also
+    refuse where the ordinate squared underflows (g used to divide by 0),
+    while the small-t ratio certificate still answers there."""
+    huge = 10**309
+    for t in TOTAL_TS:
+        calls = [solve_saddle, estimate, estimate_main, estimate_difference, estimate_kappa]
+        calls += [certify_pair, lambda t, n: certify_pair(t, n, exact_cap=0)]
+        if t >= 8:
+            calls.append(estimate_small_t)
+        for call in calls:
+            with pytest.raises(ValueError, match="overflows a double"):
+                call(t, huge)
+    with pytest.raises(ValueError, match="overflows a double"):
+        certify_pair(1, huge)
+    t, n = 10**154, int(sys.float_info.max)
+    for call in (solve_saddle, estimate, estimate_small_t, certify_pair):
+        with pytest.raises(ValueError, match="overflows a double"):
+            call(t, n)
+    for call in (solve_saddle, estimate_main, estimate_difference, certify_pair):
+        with pytest.raises(ValueError, match="squared underflows"):
+            call(2000, 10**200)
+    assert certify_pair(8, 10**200).method == "ratio"
+    assert estimate(2000, 10**200).regime == "small_t"
 
 
 def test_certified_estimate_chooser():

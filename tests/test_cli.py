@@ -136,6 +136,24 @@ def test_estimate_huge_t(capsys):
         assert "t^2 overflows a double" in recs[-1]["error"]
 
 
+def test_n_past_a_double_exit_2(capsys):
+    huge = str(10**309)
+    for t in ("2", "8", "2000"):
+        for regime in sorted(_REGIME_FLAGS):
+            code, recs = run_cli(capsys, "estimate", "--t", t, "--n", huge, "--regime", regime)
+            assert code == 2, (t, regime)
+            assert recs[-1]["kind"] == "usage"
+        code, recs = run_cli(capsys, "saddle", "--t", t, "--n", huge)
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
+        assert "overflows a double" in recs[-1]["error"]
+    # a double, but the saddle ordinate squared underflows
+    for argv in (["saddle"], ["estimate", "--regime", "main"]):
+        code, recs = run_cli(capsys, *argv, "--t", "8", "--n", str(10**170))
+        assert code == 2
+        assert "squared underflows" in recs[-1]["error"]
+
+
 def test_saddle_rounding_at_upper_endpoint_exit_0(capsys):
     # g(hi) rounds to 0 here, inside the noise floor of the upper endpoint
     code, recs = run_cli(capsys, "saddle", "--t", "4500", "--n", "20500")

@@ -38,6 +38,26 @@ def inner_by_sigma_recurrence(t, cap):
     return g
 
 
+def inner_by_miller_recurrence(t, cap):
+    """[prod (1-x^n)]^t through degree cap by J.C.P. Miller's power recurrence
+    m f_m = sum_j e_j ((t+1) j - m) f_{m-j}, with e_j the Euler coefficients:
+    (-1)^k at the generalized pentagonal numbers k(3k -+ 1)/2, else 0.  The
+    division by m is exact.  Independent of binary powering and of sigma."""
+    euler = []  # (j, e_j) for j >= 1 with e_j != 0, in increasing j
+    k = 1
+    while k * (3 * k - 1) // 2 <= cap:
+        sign = -1 if k & 1 else 1
+        euler += [(j, sign) for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if j <= cap]
+        k += 1
+    f = [1]
+    for m in range(1, cap + 1):
+        s = sum(e * ((t + 1) * j - m) * f[m - j] for j, e in euler if j <= m)
+        q, r = divmod(s, m)
+        assert r == 0
+        f.append(q)
+    return f
+
+
 def core_series_n_major(inner, t, p, limit):
     """c_t(0..limit) = sum_j inner[j] p(n - j t), one output n at a time: the
     loop the row-wise core_series_from_inner replaced, kept as its reference."""
@@ -294,6 +314,14 @@ def test_inner_factor_independent_recurrence():
     # all bits set: a square and a step per bit, on long dense rows
     for t in (63, 127, 255, 511, 1023):
         assert exact.core_inner_factor(t, 150) == inner_by_sigma_recurrence(t, 150), t
+
+
+def test_miller_oracle_matches_the_other_inner_factors():
+    for t in (1, 2, 3, 8, 24, 59, 60, 255, 1000):
+        for cap in (0, 1, 2, 5, 7, 40, 120):
+            miller = inner_by_miller_recurrence(t, cap)
+            assert miller == inner_by_sigma_recurrence(t, cap), (t, cap)
+            assert miller == exact.core_inner_factor(t, cap), (t, cap)
 
 
 def _random_lists(seed):
