@@ -7,16 +7,15 @@ so that the exact count is guaranteed to satisfy
     log c  in  [log_value + log(1 - rel_error_bound),
                 log_value + log(1 + rel_error_bound)]
 
-whenever hypotheses_ok is true.  Every certified bound is padded by an
-absolute 1e-9 to absorb solver and series roundoff; all arithmetic stays in
-log space because the main terms overflow doubles long before the scales of
-interest.
+whenever hypotheses_ok is true.  Every certified bound is padded for the
+rounding of its value (_pad); all arithmetic stays in log space because the
+main terms overflow doubles long before the scales of interest.
 """
 
 import math
 from typing import NamedTuple, Optional
 
-from .modular import eta_quotient_log
+from .modular import eta_log
 from .saddle import (
     INTERVAL_PADDING,
     ROUNDOFF_REL,
@@ -67,6 +66,12 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _pad(*terms: float) -> float:
+    """ROUNDOFF_REL times the sum of |terms| that cancel in a certified value,
+    at least INTERVAL_PADDING: a forward-error bound (Higham 2002, sec. 3)."""
+    return max(INTERVAL_PADDING, ROUNDOFF_REL * sum(map(abs, terms)))
+
+
 # --- the saddle-point estimators ------------------------------------------------
 
 def _saddle_diagnostics(res: SaddleResult) -> dict:
@@ -81,13 +86,12 @@ def _saddle_diagnostics(res: SaddleResult) -> dict:
 def estimate_main(t: int, n: int) -> CertifiedEstimate:
     """Saddle-point main term with the explicit 3.5/curvature error bound.
 
-    Certified when min(t, 1/y) >= SADDLE_MIN_T, the scaled tilt |drift| < 2/25
-    (automatic at the solved saddle, where the residual vanishes), and the
-    exponent 2 pi M y, which cancels against the eta quotient, is small
-    enough that its rounding stays within the padding
-    (ROUNDOFF_REL * 2 pi M y <= INTERVAL_PADDING).  Where the curvature
-    rounds to <= 0 (n vast against t) log_value is nan and nothing is
-    certified.
+    Certified when min(t, 1/y) >= SADDLE_MIN_T and the scaled tilt
+    |drift| < 2/25 (automatic at the solved saddle, where the residual
+    vanishes).  The pad covers the terms that cancel in log_value: the
+    exponent 2 pi M y and the two halves of the eta quotient, whose parts
+    of size pi/(12 y) cancel.  Where the curvature rounds to <= 0
+    (n vast against t) log_value is nan and nothing is certified.
     """
     res = solve_saddle(t, n)
     y = res.y
@@ -97,15 +101,14 @@ def estimate_main(t: int, n: int) -> CertifiedEstimate:
             log_value=math.nan, rel_error_bound=math.inf, regime="main",
             hypotheses_ok=False, diagnostics=_saddle_diagnostics(res),
         )
-    log_ft = eta_quotient_log(complex(0.0, y), t).real
+    log_y = 1.5 * math.log(y)
     exponent = 2.0 * math.pi * res.shifted_index * y
-    log_value = 1.5 * math.log(y) + exponent + log_ft - 0.5 * math.log(d2_diff)
-    rel = 3.5 * y / d2_diff + INTERVAL_PADDING
-    hyp = (
-        min(t, 1.0 / y) >= SADDLE_MIN_T
-        and abs(res.drift) < 2.0 / 25.0
-        and ROUNDOFF_REL * exponent <= INTERVAL_PADDING
-    )
+    eta_t = t * eta_log(complex(0.0, t * y)).real
+    eta_1 = eta_log(complex(0.0, y)).real
+    log_d2 = 0.5 * math.log(d2_diff)
+    log_value = log_y + exponent + (eta_t - eta_1) - log_d2
+    rel = 3.5 * y / d2_diff + _pad(log_y, exponent, eta_t, eta_1, log_d2)
+    hyp = min(t, 1.0 / y) >= SADDLE_MIN_T and abs(res.drift) < 2.0 / 25.0
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=rel,
@@ -121,10 +124,10 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
         c_{t+1}(n+t) - c_t(n+t)  in  c_t(n) * [center - E, center + E],
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
-    saddle ordinate for (t, n).  Certified when 1/y >= SADDLE_MIN_T,
-    t y >= 1/2, and y is within the solver's guarantees (t >= SADDLE_MIN_T,
-    and its relative rounding, which grows with (t y)^2, stays within the
-    padding: ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    saddle ordinate for (t, n).  The solver's y is within a factor
+    s = 1 + ROUNDOFF_REL (t y)^2 of that root (saddle.ROUNDOFF_REL), so the
+    estimate is certified when t >= SADDLE_MIN_T, 1/y >= s SADDLE_MIN_T and
+    t y >= s/2, and the pad covers the center's shift, 2 pi t y (s - 1).
     log_value is the log of the (positive) center; the consumer multiplies
     by an exact or certified c_t(n).
     """
@@ -133,17 +136,17 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
     ty = t * y
     center = 2.0 * math.pi * ty - 1.0
     halfwidth = ty * (705.0 * y + 120.0 * ty * math.exp(-2.0 * math.pi * ty))
-    hyp = 1.0 / y >= SADDLE_MIN_T and ty >= 0.5 and res.within_guarantees
+    s = 1.0 + ROUNDOFF_REL * ty * ty
+    hyp = t >= SADDLE_MIN_T and 1.0 / y >= s * SADDLE_MIN_T and ty >= 0.5 * s
     diagnostics = _saddle_diagnostics(res)
     diagnostics["multiplier_center"] = center
     diagnostics["multiplier_halfwidth"] = halfwidth
     if center > 0.0:
         log_value = math.log(center)
-        rel = halfwidth / center + INTERVAL_PADDING
-    else:
+        rel = halfwidth / center + _pad(2.0 * math.pi * ty * ty * ty / center)
+    else:  # t y <= 1/(2 pi), so hyp is already false
         log_value = math.nan
         rel = math.inf
-        hyp = False
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=rel,
@@ -167,19 +170,22 @@ def small_t_hypotheses(t: int, n: int) -> bool:
 
 def estimate_small_t(t: int, n: int) -> CertifiedEstimate:
     """Closed-form main term (2 pi)^((t-1)/2) / (t^(t/2) Gamma((t-1)/2))
-    * M^((t-3)/2) with explicit error 2.5 e^(-t/8) + 20 t^-4."""
+    * M^((t-3)/2) with explicit error 2.5 e^(-t/8) + 20 t^-4.  Its pad (16u,
+    u = 2^-53, times the sum of the four |terms|) is twice a forward-error
+    bound: each term is within gamma_5 of itself (a log within 1 ulp; M's four
+    roundings over log M > 11; a product; t past 2^53; lgamma within 1.84u of
+    60-digit mpmath at t = 1e3..1e12), and the three additions add gamma_3."""
     if t < 8:
         raise ValueError("small-t estimate requires t >= 8")
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = shifted_index(t, n)
-    log_value = (
-        0.5 * (t - 1) * math.log(2.0 * math.pi)
-        - 0.5 * t * math.log(t)
-        - log_gamma(0.5 * (t - 1))
-        + 0.5 * (t - 3) * math.log(m)
-    )
-    rel = 2.5 * math.exp(-t / 8.0) + 20.0 * t**-4.0 + INTERVAL_PADDING
+    pi_term = 0.5 * (t - 1) * math.log(2.0 * math.pi)
+    t_term = 0.5 * t * math.log(t)
+    gamma_term = log_gamma(0.5 * (t - 1))
+    m_term = 0.5 * (t - 3) * math.log(m)
+    log_value = pi_term - t_term - gamma_term + m_term
+    rel = 2.5 * math.exp(-t / 8.0) + 20.0 * t**-4.0 + _pad(pi_term, t_term, gamma_term, m_term)
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=rel,
@@ -238,7 +244,7 @@ def estimate_exact(t: int, n: int) -> CertifiedEstimate:
 
 
 def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
-    """Growth-law heuristic 2 pi sqrt(A n) - log(B n) with kappa = t^2/n.
+    """Growth-law heuristic 2 pi sqrt(A n) - log B - log n with kappa = t^2/n.
 
     The error is o(1) with no explicit constant, so this estimate is never
     certified (hypotheses_ok is always False).  ValueError outside t >= 2,
@@ -248,7 +254,7 @@ def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
     shifted_index(t, n)
     kappa = t * t / n
     consts = kappa_constants(kappa)
-    log_value = 2.0 * math.pi * math.sqrt(consts.A * n) - math.log(consts.B * n)
+    log_value = 2.0 * math.pi * math.sqrt(consts.A * n) - math.log(consts.B) - math.log(n)
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=None,
@@ -261,13 +267,16 @@ def estimate_kappa(t: int, n: int) -> CertifiedEstimate:
 def certified_estimate(t: int, n: int) -> Optional[CertifiedEstimate]:
     """The certified single-point estimate at (t, n): small_t when its
     hypotheses hold, else main when its hypotheses hold, else None (also
-    outside t >= 2, n >= 1, where neither regime applies)."""
+    outside t >= 2, n >= 1, where neither regime applies).  It must carry
+    a usable interval (rel_error_bound < 1), which the pad for rounding
+    denies from t ~ 1e13."""
     if small_t_hypotheses(t, n):  # false outside t >= 8, n >= 1
-        return estimate_small_t(t, n)
-    if t < SADDLE_MIN_T or n < 1:  # main's min(t, 1/y) fails, or there is no saddle
+        est = estimate_small_t(t, n)
+    elif t < SADDLE_MIN_T or n < 1:  # main's min(t, 1/y) fails, or there is no saddle
         return None
-    est = estimate_main(t, n)
-    return est if est.hypotheses_ok else None
+    else:
+        est = estimate_main(t, n)
+    return est if est.hypotheses_ok and est.rel_error_bound < 1.0 else None
 
 
 def select_regime(t: int, n: int) -> str:

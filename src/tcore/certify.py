@@ -52,12 +52,11 @@ def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertifi
     separated ratio intervals, or, last, exact comparison where the exact
     regime's rule holds (asymptotics.exact_regime_holds).  A pair no route
     settles is "inconclusive"; for t >= 1, n >= 0 the routes raise only
-    ValueError, past exact_cap: where (t + 1)^2 or N + (t^2 - 1)/24
+    ValueError, past exact_cap, where (t + 1)^2 or N + (t^2 - 1)/24
     overflows a double (saddle.shifted_index, checked before any float
-    route), and for t >= SADDLE_MIN_T where the saddle ordinate squared
-    underflows (saddle.saddle_bracket; from n ~ 1e165 at t = 2000).
+    route), and where 24 n does at t > 4e152 (saddle.saddle_bracket).
     margin is the worst-case slack of the winning method (log units for the
-    exact and ratio routes, multiplier units for the difference route).
+    exact and ratio routes, padded multiplier units for the difference route).
     Outside Stanton's domain 4 <= t < n - 1, where c_t(n) > c_{t+1}(n) is no
     counterexample, detail["stanton_domain"] is False."""
     if t < 1 or n < 0:
@@ -82,10 +81,12 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
     )
 
     shifted_index(t + 1, n)  # the float-domain gate of every route below
-    if t >= SADDLE_MIN_T and n > t:
+    # past 24 (n - t) - 1 >= 4 t^2, t times saddle_bracket's hi =
+    # 1/(3/pi + sqrt(24 (n - t) - 1 + 9/pi^2)) is below 1/2, so t y >= 1/2 fails
+    if t >= SADDLE_MIN_T and t < n and 24 * (n - t) - 1 < 4 * t * t:
         est = estimate_difference(t, n - t)
         diag = est.diagnostics
-        lower = diag["multiplier_center"] - diag["multiplier_halfwidth"]
+        lower = diag["multiplier_center"] * (1.0 - est.rel_error_bound)
         if est.hypotheses_ok and lower > 0.0:
             return PairCertificate(
                 t=t, n=n, method="difference", ok=True, equality=False, margin=lower,

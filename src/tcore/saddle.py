@@ -23,13 +23,13 @@ _BRACKET_NUDGE = 1e-15
 # ~e^(-2 pi/(t y)) above the lower bracket endpoint, far below double
 # resolution, so the endpoint sign is pure fuzz (see _residual_noise).
 RESIDUAL_NOISE_REL = 1e-9
-INTERVAL_PADDING = 1e-9  # absolute inflation of every certified bound
-# Rounding of a saddle-point quantity, relative to the size of the terms that
-# cancel inside it: 2 pi M y in the main-term log, (t y)^2 in the relative
-# saddle ordinate.  Against 50-digit evaluations (t = 1e3..1e8, n = 5e4..1e8)
-# these stayed <= 2.1e-16 and 7e-17, so 8 ulp of 1 keeps a margin above 5x.
-# A result is trusted only while ROUNDOFF_REL times that size stays within
-# INTERVAL_PADDING.
+INTERVAL_PADDING = 1e-9  # least inflation of every certified bound
+# Rounding of a certified quantity, relative to the size of the terms that
+# cancel inside it (asymptotics._pad): the sum of |terms| of the main-term
+# and small-t logs, (t y)^2 in the relative saddle ordinate (past the
+# bisection's Y_REL_TOL).  Against 50- and 60-digit evaluations at t = 1e3 to
+# 1e12 these stayed below 4, 1.2 and 1.5 units of 2^-53, so 8 ulp of 1
+# keeps a margin of 4x.
 ROUNDOFF_REL = 8.0 * 2.0**-52
 SADDLE_MIN_T = 1000  # the certified saddle regimes need min(t, 1/y) >= this, so t >= it
 
@@ -68,12 +68,15 @@ def _residual_noise(m: float, y: float) -> float:
 
 
 def saddle_bracket(t: int, n: int) -> tuple:
-    """A-priori bracket (lo, hi) of the saddle ordinate; ValueError where lo^2 underflows."""
+    """A-priori bracket (lo, hi) of the saddle ordinate; ValueError where lo^2
+    underflows or 24 n overflows (from n ~ 7.5e306)."""
     m = shifted_index(t, n)
     lo = (t - 1) / (4.0 * math.pi * m)
     if lo * lo == 0.0:
         raise ValueError(f"n is too large for t = {t}: the saddle ordinate squared underflows")
     disc = 24.0 * n - 1.0 + 9.0 / math.pi**2
+    if disc == math.inf:
+        raise ValueError(f"n = {n} is too large: 24 n overflows a double")
     if disc <= 0.0:
         raise SolverError(f"no finite saddle ordinate for n = {n}: g stays above 0")
     hi = 1.0 / (3.0 / math.pi + math.sqrt(disc))
@@ -86,8 +89,8 @@ class SaddleResult(NamedTuple):
     curvature is (D_2(iy) - D_2(ity))/y (the Gaussian concentration scale);
     drift is y * residual (the scaled linear tilt).  within_guarantees marks
     t >= SADDLE_MIN_T, below which no certified bound downstream holds, and y
-    in the float-safe domain: its relative rounding, about 2^-53 (t y)^2 / 2,
-    stays within the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING).
+    accurate to the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING); no
+    certificate reads it, as the difference route pads by that rounding.
     """
 
     t: int

@@ -12,6 +12,7 @@ from tcore import exact
 from tcore.asymptotics import (
     EXACT_REGIME_MAX_N,
     INTERVAL_PADDING,
+    ROUNDOFF_REL,
     SADDLE_MIN_T,
     HypothesisError,
     big_t_threshold,
@@ -27,7 +28,7 @@ from tcore.asymptotics import (
     select_regime,
     small_t_hypotheses,
 )
-from tcore.saddle import kappa_constants, solve_saddle
+from tcore.saddle import kappa_constants, saddle_bracket, solve_saddle
 from tcore.selftest import (
     central_arc_ratio,
     curvature_on_axis,
@@ -119,6 +120,39 @@ def test_difference_at_reference():
     assert center == pytest.approx(2.0 * math.pi * ty - 1.0)
     assert center > 0.0  # 2 pi / 2 - 1 > 0 whenever ty >= 1/2
     assert halfwidth / center < 1.0  # usable separation certificate
+
+
+def test_difference_pads_the_rounding_of_y(monkeypatch):
+    """Where y's rounding, ROUNDOFF_REL (t y)^2, passes the 1e-9 floor the
+    difference route no longer refuses (t y = 9120 at (1e7, 5e4)): its pad
+    grows to 2 pi (t y)^3 / center times ROUNDOFF_REL, and the pair
+    certificate subtracts it.  At t = 1e11 the pad passes 1 with the
+    hypotheses holding, and the unpadded center - E > 0 must not certify.
+    The hypotheses hold for every root within that rounding: at t = 1e9,
+    y = 0.9995e-3 is refused, as the root may lie above 1e-3."""
+    est = estimate_difference(10**7, 50_000)
+    ty = 10**7 * est.diagnostics["y"]
+    center = est.diagnostics["multiplier_center"]
+    assert est.hypotheses_ok and ROUNDOFF_REL * ty * ty > INTERVAL_PADDING
+    pad = ROUNDOFF_REL * 2.0 * math.pi * ty**3 / center
+    assert est.rel_error_bound == pytest.approx(
+        est.diagnostics["multiplier_halfwidth"] / center + pad, rel=1e-12
+    )
+    cert = certify_pair(10**7, 10**7 + 50_000)
+    assert cert.method == "difference"
+    assert cert.margin == center * (1.0 - est.rel_error_bound)
+    t, m = 10**11, 380_000
+    est = estimate_difference(t, m)
+    diag = est.diagnostics
+    assert est.hypotheses_ok and est.rel_error_bound > 1.0
+    assert diag["multiplier_center"] - diag["multiplier_halfwidth"] > 0.0
+    assert certify_pair(t, t + m).method == "inconclusive"
+    from tcore import asymptotics
+
+    real = solve_saddle(10**9, 42_000)
+    for y, ok in ((0.9995e-3, False), (0.997e-3, True)):
+        monkeypatch.setattr(asymptotics, "solve_saddle", lambda t, n, y=y: real._replace(y=y))
+        assert estimate_difference(10**9, 42_000).hypotheses_ok is ok, y
 
 
 def test_difference_hypotheses_fail_small():
@@ -257,8 +291,11 @@ def test_select_regime_examples():
     assert select_regime(1000, 60_000) == "main"
     assert select_regime(6, 20) == "kappa_heuristic"  # nothing certifies
     assert select_regime(600, 10_000) == "exact"
-    # above big_t_threshold(n), but past the exact regime's cap
-    assert select_regime(74989, 100_001) == "kappa_heuristic"
+    # above big_t_threshold(n), but past the exact regime's cap: main
+    # certifies, padding the rounding of its exponent
+    assert select_regime(74989, 100_001) == "main"
+    # there main's hypotheses hold, but its pad for rounding passes 1
+    assert select_regime(10**12, 200_000) == "kappa_heuristic"
 
 
 def test_t_squared_beyond_doubles_is_refused():
@@ -317,11 +354,27 @@ def test_n_beyond_the_float_domain_is_refused():
     for call in (solve_saddle, estimate, estimate_small_t, certify_pair):
         with pytest.raises(ValueError, match="overflows a double"):
             call(t, n)
-    for call in (solve_saddle, estimate_main, estimate_difference, certify_pair):
+    for call in (solve_saddle, estimate_main, estimate_difference):
         with pytest.raises(ValueError, match="squared underflows"):
             call(2000, 10**200)
+    # certify_pair skips the difference route there, where t y >= 1/2 fails
+    assert certify_pair(2000, 10**200).method == "ratio"
     assert certify_pair(8, 10**200).method == "ratio"
     assert estimate(2000, 10**200).regime == "small_t"
+    # a double whose 24 n overflows, past ~7.5e306 (t^2 still a double)
+    for call in (solve_saddle, estimate_main, estimate_difference, saddle_bracket):
+        with pytest.raises(ValueError, match="n = 10+ is too large: 24 n overflows"):
+            call(10**153, 10**307)
+    hi = saddle_bracket(10**153, 7 * 10**306)[1]
+    assert hi == 1.0 / (3.0 / math.pi + math.sqrt(24.0 * 7e306 - 1.0 + 9.0 / math.pi**2)) > 0.0
+
+
+def test_kappa_heuristic_is_finite_at_huge_n():
+    # B N passes the largest double here (B = 6.3e150 and 1.6e125), where
+    # log(B N) used to read -inf
+    for est in (estimate(2, 10**300), estimate_kappa(8, 10**250)):
+        assert est.regime == "kappa_heuristic"
+        assert math.isfinite(est.log_value)
 
 
 def test_certified_estimate_chooser():

@@ -147,11 +147,15 @@ def test_n_past_a_double_exit_2(capsys):
         assert code == 2
         assert recs[-1]["kind"] == "usage"
         assert "overflows a double" in recs[-1]["error"]
-    # a double, but the saddle ordinate squared underflows
+    # a double, but the saddle ordinate squared underflows, or 24 n overflows
     for argv in (["saddle"], ["estimate", "--regime", "main"]):
         code, recs = run_cli(capsys, *argv, "--t", "8", "--n", str(10**170))
         assert code == 2
         assert "squared underflows" in recs[-1]["error"]
+        code, recs = run_cli(capsys, *argv, "--t", str(10**153), "--n", str(10**307))
+        assert code == 2
+        assert recs[-1]["kind"] == "usage"
+        assert f"n = {10**307} is too large: 24 n overflows" in recs[-1]["error"]
 
 
 def test_saddle_rounding_at_upper_endpoint_exit_0(capsys):
@@ -203,18 +207,27 @@ def test_estimate_forced_hypothesis_failure_exit_4(capsys):
 def test_estimate_big_t_beyond_cap_exit_2(capsys):
     # above the threshold t > big_t_threshold(n) but past the exact regime's
     # cap, whose exact p-series would need hours to days: auto takes the
-    # kappa heuristic (kappa = 56232 and 1e9), a forced exact regime exits 2
-    for t, n in (("74989", "100001"), ("100000000", "10000000")):
+    # certified main estimate (kappa = 56232 and 1e9; it pads its rounding)
+    # or, where main's pad passes 1, the kappa heuristic; a forced exact
+    # regime exits 2
+    for t, n, auto in (
+        ("74989", "100001", "main"),
+        ("100000000", "10000000", "main"),
+        ("1000000000000", "200000", "kappa_heuristic"),
+    ):
         code, recs = run_cli(capsys, "estimate", "--t", t, "--n", n)
         assert code == 0
-        assert recs[-1]["result"]["regime"] == "kappa_heuristic"
+        assert recs[-1]["result"]["regime"] == auto
         code, recs = run_cli(capsys, "estimate", "--t", t, "--n", n, "--regime", "exact")
         assert code == 2
         assert recs[-1]["kind"] == "usage"
         assert "exact regime cap 100000" in recs[-1]["error"]
 
 
-@pytest.mark.parametrize("t,n", [(539, 10000), (50, 100000), (1000, 60000), (6, 20), (2, 2)])
+# at (1e12, 2e5) main's hypotheses hold, but its pad for rounding passes 1
+@pytest.mark.parametrize(
+    "t,n", [(539, 10000), (50, 100000), (1000, 60000), (6, 20), (2, 2), (10**12, 200000)]
+)
 def test_certified_estimate_carries_finite_interval(capsys, t, n):
     for regime in sorted(_REGIME_FLAGS):
         code, recs = run_cli(

@@ -26,8 +26,11 @@ from tcore.asymptotics import (
     ROUNDOFF_REL,
     estimate_difference,
     estimate_main,
+    estimate_small_t,
+    log_interval,
     select_regime,
 )
+from tcore.certify import certify_pair
 from tcore import saddle
 from tcore.saddle import Y_REL_TOL, _d, kappa_constants, solve_saddle, solve_scaled_saddle
 
@@ -210,6 +213,17 @@ def main_log(t: int, n: int):
     )
 
 
+def small_t_log(t: int, n: int):
+    """The estimate_small_t log_value at this precision, with M exact:
+    ((t-1)/2) log 2 pi - (t/2) log t - log Gamma((t-1)/2) + ((t-3)/2) log M."""
+    return (
+        (t - 1) * mpmath.log(2 * mpmath.pi) / 2
+        - t * mpmath.log(t) / 2
+        - mpmath.loggamma(mpmath.mpf(t - 1) / 2)
+        + (t - 3) * mpmath.log(_shifted_index(t, n)) / 2
+    )
+
+
 # --- the tests ---------------------------------------------------------------
 
 def test_d_matches_oracle():
@@ -258,10 +272,25 @@ FLOAT_SAFE_TS = (1000, 2000, 5000, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6, 10
 FLOAT_SAFE_NS = (5 * 10**4, 10**5, 10**6, 10**7, 10**8)
 
 
+def _rounding_limit(pad: float) -> float:
+    """A tenth of INTERVAL_PADDING while a pad for rounding stays at that
+    floor, else a third of the pad (ROUNDOFF_REL holds a margin of 4)."""
+    return INTERVAL_PADDING / 10 if pad <= INTERVAL_PADDING * (1 + 1e-6) else pad / 3
+
+
+def _main_pad(est) -> float:
+    """The pad for rounding inside estimate_main's rel: rel - 3.5 y / D_2."""
+    return est.rel_error_bound - 3.5 / est.diagnostics["curvature"]
+
+
 def test_certified_means_float_safe():
     """Wherever a saddle regime certifies, its float answer agrees with the
-    oracle to a tenth of the padding: the main-term log absolutely, the
-    difference route's saddle ordinate relatively."""
+    oracle: the main-term log absolutely, the difference route's saddle
+    ordinate relatively.  Where the rounding clauses these regimes used to
+    refuse on hold (ROUNDOFF_REL times 2 pi M y or (t y)^2 within
+    INTERVAL_PADDING) the error stays within a tenth of INTERVAL_PADDING;
+    past them, within a third of the pad (for the ordinate, of its rounding
+    model ROUNDOFF_REL (t y)^2)."""
     certified = 0
     with mpmath.workdps(ORACLE_DPS):
         for t in FLOAT_SAFE_TS:
@@ -269,12 +298,19 @@ def test_certified_means_float_safe():
                 main = estimate_main(t, n)
                 diff = estimate_difference(t, n)
                 if main.hypotheses_ok:
+                    diag = main.diagnostics
+                    rounding = ROUNDOFF_REL * 2.0 * math.pi * diag["shifted_index"] * diag["y"]
+                    limit = INTERVAL_PADDING / 10
+                    if rounding > INTERVAL_PADDING:
+                        limit = _main_pad(main) / 3
                     err = abs(main.log_value - main_log(t, n))
-                    assert err <= INTERVAL_PADDING / 10, (t, n, float(err))
+                    assert err <= limit, (t, n, float(err))
                 if diff.hypotheses_ok:
                     y_star = saddle_root(t, n)
                     err = abs(diff.diagnostics["y"] - y_star) / y_star
-                    assert err <= INTERVAL_PADDING / 10, (t, n, float(err))
+                    rounding = ROUNDOFF_REL * (t * diff.diagnostics["y"]) ** 2
+                    limit = rounding / 3 if rounding > INTERVAL_PADDING else INTERVAL_PADDING / 10
+                    assert err <= limit, (t, n, float(err))
                 certified += main.hypotheses_ok + diff.hypotheses_ok
     assert certified >= 50  # the grid is not vacuous
 
@@ -285,13 +321,55 @@ def test_regime_changes_at_the_float_safe_boundary():
     with mpmath.workdps(ORACLE_DPS):
         err = abs(estimate_main(10**4, 5 * 10**4).log_value - main_log(10**4, 5 * 10**4))
     assert err <= INTERVAL_PADDING / 10
-    # cut by the roundoff budget: the exponent 2 pi M y is too large
+    # the rounding of the exponent 2 pi M y passes the floor of the pad:
+    # main used to refuse here, and now pads by it
     est = estimate_main(10**6, 10**6)
     exponent = 2.0 * math.pi * est.diagnostics["shifted_index"] * est.diagnostics["y"]
     assert ROUNDOFF_REL * exponent > INTERVAL_PADDING
-    assert not est.hypotheses_ok
-    # above the exact regime's cap N = 100000 auto takes the kappa heuristic
-    assert select_regime(10**6, 10**6) == "kappa_heuristic"
+    assert est.hypotheses_ok
+    pad = _main_pad(est)
+    assert pad > ROUNDOFF_REL * exponent
+    with mpmath.workdps(ORACLE_DPS):
+        assert abs(est.log_value - main_log(10**6, 10**6)) <= pad / 3
+    # above the exact regime's cap N = 100000 auto takes it
+    assert select_regime(10**6, 10**6) == "main"
+
+
+CONTAINMENT_DPS = 60
+# small_t where its hypotheses hold, t = 1e3..1e12; from t = 1e7 both ends of
+# its interval used to round to the same double
+SMALL_T_GRID = [(10**e, k * 10 ** (2 * e)) for e in range(3, 13) for k in (10, 1000)]
+SMALL_T_GRID.append((10**7, 2 * 10**14))
+# main on the band 0.12 <= n/t^2 <= 1.1, where main used to refuse the
+# rounding of its exponent and certify_pair was inconclusive from t ~ 2e6
+HOLE_GRID = [
+    (t, round(r * t * t)) for t in (2 * 10**6, 10**7, 10**8, 10**9) for r in (0.12, 0.3, 0.8, 1.1)
+]
+
+
+def test_certified_intervals_contain_their_formula():
+    """Every certified interval holds the 60-digit value of its own
+    formula, and _rounding_limit of its pad for rounding alone covers the
+    float error: small_t (whose interval used to exclude that value from
+    t = 1e6) on SMALL_T_GRID, main on HOLE_GRID, where every pair now
+    certifies."""
+    with mpmath.workdps(CONTAINMENT_DPS):
+        for t, n in SMALL_T_GRID:
+            est = estimate_small_t(t, n)
+            assert est.hypotheses_ok, (t, n)
+            ref = small_t_log(t, n)
+            lo, hi = log_interval(est)
+            assert lo < ref < hi, (t, n)
+            pad = est.rel_error_bound - 2.5 * math.exp(-t / 8.0) - 20.0 * t**-4.0
+            assert abs(est.log_value - ref) <= _rounding_limit(pad), (t, n)
+        for t, n in HOLE_GRID:
+            est = estimate_main(t, n)
+            assert est.hypotheses_ok, (t, n)
+            ref = main_log(t, n)
+            lo, hi = log_interval(est)
+            assert lo < ref < hi, (t, n)
+            assert abs(est.log_value - ref) <= _rounding_limit(_main_pad(est)), (t, n)
+            assert certify_pair(t, n).ok, (t, n)
 
 
 # the product-formula oracle: a point a decade over kappa = 1e-14..1e20 (its
