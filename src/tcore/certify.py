@@ -48,9 +48,10 @@ def _exact_certificate(t: int, n: int) -> PairCertificate:
 
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
-    n <= exact_cap, the difference certificate (for t >= SADDLE_MIN_T),
-    separated ratio intervals, or, last, exact comparison where the exact
-    regime's rule holds (asymptotics.exact_regime_holds).  A pair no route
+    n <= exact_cap, the difference certificate (asymptotics.certified_difference),
+    separated ratio intervals (asymptotics.certified_estimate at t, then at
+    t + 1), or, last, exact comparison where the exact regime's rule holds
+    (asymptotics.exact_regime_holds).  A pair no route
     settles is "inconclusive"; for t >= 1, n >= 0 the routes raise only
     ValueError, past exact_cap, where (t + 1)^2 or N + (t^2 - 1)/24
     overflows a double (saddle.shifted_index, checked before any float
@@ -72,29 +73,25 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
     if n <= exact_cap:
         return _exact_certificate(t, n)
     from .asymptotics import (
-        SADDLE_MIN_T,
+        certified_difference,
         certified_estimate,
-        estimate_difference,
         exact_regime_holds,
         log_interval,
         shifted_index,
     )
 
     shifted_index(t + 1, n)  # the float-domain gate of every route below
-    # past 24 (n - t) - 1 >= 4 t^2, t times saddle_bracket's hi =
-    # 1/(3/pi + sqrt(24 (n - t) - 1 + 9/pi^2)) is below 1/2, so t y >= 1/2 fails
-    if t >= SADDLE_MIN_T and t < n and 24 * (n - t) - 1 < 4 * t * t:
-        est = estimate_difference(t, n - t)
+    est = certified_difference(t, n - t)
+    if est is not None:
         diag = est.diagnostics
-        lower = diag["multiplier_center"] * (1.0 - est.rel_error_bound)
-        if est.hypotheses_ok and lower > 0.0:
-            return PairCertificate(
-                t=t, n=n, method="difference", ok=True, equality=False, margin=lower,
-                detail={k: diag[k] for k in ("y", "multiplier_center", "multiplier_halfwidth")},
-            )
+        return PairCertificate(
+            t=t, n=n, method="difference", ok=True, equality=False,
+            margin=diag["multiplier_center"] * (1.0 - est.rel_error_bound),
+            detail={k: diag[k] for k in ("y", "multiplier_center", "multiplier_halfwidth")},
+        )
     est_lo = certified_estimate(t, n)
-    est_hi = certified_estimate(t + 1, n)
-    if est_lo is not None and est_hi is not None:
+    est_hi = None if est_lo is None else certified_estimate(t + 1, n)
+    if est_hi is not None:
         _, upper_t = log_interval(est_lo)
         lower_t1, _ = log_interval(est_hi)
         margin = lower_t1 - upper_t

@@ -94,8 +94,7 @@ def _cmd_saddle(opts) -> int:
         "shifted_index": res.shifted_index,
         "iterations": res.iterations,
     }
-    flags = {"within_guarantees": res.within_guarantees}
-    _emit("saddle", {"t": opts.t, "n": opts.n}, result, flags, started)
+    _emit("saddle", {"t": opts.t, "n": opts.n}, result, {}, started)
     return EXIT_OK
 
 
@@ -116,10 +115,9 @@ def _cmd_estimate(opts) -> int:
         "regime": est.regime,
         "diagnostics": est.diagnostics,
     }
-    usable = est.rel_error_bound is not None and est.rel_error_bound < 1.0
-    if usable:
+    if est.rel_error_bound is not None and est.rel_error_bound < 1.0:
         result["log_interval"] = list(log_interval(est))
-    flags = {"hypotheses_ok": est.hypotheses_ok, "certified": est.hypotheses_ok and usable}
+    flags = {"hypotheses_ok": est.hypotheses_ok, "certified": est.certified}
     _emit("estimate", {"t": opts.t, "n": opts.n, "regime": opts.regime}, result, flags, started)
     return EXIT_OK
 

@@ -23,15 +23,6 @@ _BRACKET_NUDGE = 1e-15
 # ~e^(-2 pi/(t y)) above the lower bracket endpoint, far below double
 # resolution, so the endpoint sign is pure fuzz (see _residual_noise).
 RESIDUAL_NOISE_REL = 1e-9
-INTERVAL_PADDING = 1e-9  # least inflation of every certified bound
-# Rounding of a certified quantity, relative to the size of the terms that
-# cancel inside it (asymptotics._pad): the sum of |terms| of the main-term
-# and small-t logs, (t y)^2 in the relative saddle ordinate (past the
-# bisection's Y_REL_TOL).  Against 50- and 60-digit evaluations at t = 1e3 to
-# 1e12 these stayed below 4, 1.2 and 1.5 units of 2^-53, so 8 ulp of 1
-# keeps a margin of 4x.
-ROUNDOFF_REL = 8.0 * 2.0**-52
-SADDLE_MIN_T = 1000  # the certified saddle regimes need min(t, 1/y) >= this, so t >= it
 
 
 class SolverError(RuntimeError):
@@ -87,10 +78,7 @@ class SaddleResult(NamedTuple):
     """Solved saddle ordinate with bracket, residual and diagnostics.
 
     curvature is (D_2(iy) - D_2(ity))/y (the Gaussian concentration scale);
-    drift is y * residual (the scaled linear tilt).  within_guarantees marks
-    t >= SADDLE_MIN_T, below which no certified bound downstream holds, and y
-    accurate to the padding (ROUNDOFF_REL * (t y)^2 <= INTERVAL_PADDING); no
-    certificate reads it, as the difference route pads by that rounding.
+    drift is y * residual (the scaled linear tilt).
     """
 
     t: int
@@ -103,7 +91,6 @@ class SaddleResult(NamedTuple):
     curvature: float
     drift: float
     iterations: int
-    within_guarantees: bool
 
 
 def _bisect(f, lo: float, hi: float) -> tuple:
@@ -155,7 +142,6 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         y, iterations = lo, 0  # root pinned at the lower endpoint to within noise
     residual = saddle_residual(t, n, y)
     curvature = (_d(2, y) - _d(2, t * y)) / y
-    ty = t * y
     return SaddleResult(
         t=t,
         n=n,
@@ -167,7 +153,6 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
         curvature=curvature,
         drift=y * residual,
         iterations=iterations,
-        within_guarantees=t >= SADDLE_MIN_T and ROUNDOFF_REL * ty * ty <= INTERVAL_PADDING,
     )
 
 
@@ -207,9 +192,11 @@ def solve_scaled_saddle(kappa: float) -> float:
     - else 3.6 < kappa < 96, and hi/lo = 4 pi (1 + kappa/24)/sqrt(24 kappa) < 1.56.
     So hi - lo <= lo, and _bisect ends within log2(1/Y_REL_TOL) < 40 halvings
     (41 with rounding).  ValueError unless kappa is a finite normal double
-    (>= 2.2e-308), below which lo and 1/kappa lose their digits."""
-    if not sys.float_info.min <= kappa < math.inf:
+    (>= 2.2e-308), below which lo and 1/kappa lose their digits; an int
+    kappa is compared exactly, so one past a double is refused too."""
+    if not sys.float_info.min <= kappa <= sys.float_info.max:
         raise ValueError("kappa must be finite and at least 2.2e-308 (a normal double)")
+    kappa = float(kappa)
     lo = kappa / (4.0 * math.pi * (1.0 + kappa / 24.0))
     hi = math.sqrt(kappa / 24.0)
     if 2.0 * lo <= 0.5:
@@ -234,8 +221,10 @@ def kappa_constants(kappa: float) -> KappaConstants:
     sqrt(1/12 - D_2(iv)) at v = v(kappa), which G > 0 confines to an a-priori
     bracket (solve_scaled_saddle), from the n-sums S_k with the constants
     cancelled by hand and no product that over- or underflows: positive and
-    finite at every kappa solve_scaled_saddle accepts."""
+    finite at every kappa solve_scaled_saddle accepts, and kappa is stored
+    as the double it solved for."""
     v = solve_scaled_saddle(kappa)
+    kappa = float(kappa)
     s0, s1, s2 = (_n_sum(k, v) for k in range(3))
     if v < 1.0:
         c = v / (4.0 * math.pi)

@@ -16,6 +16,7 @@ from tcore.asymptotics import (
     SADDLE_MIN_T,
     HypothesisError,
     big_t_threshold,
+    certified_difference,
     certified_estimate,
     estimate,
     estimate_difference,
@@ -318,7 +319,6 @@ def test_hypotheses_are_checked_without_slack(monkeypatch):
     from tcore import asymptotics
 
     real = solve_saddle(2000, 10**6)
-    assert real.within_guarantees
     for y, ok in ((1.0000000005e-3, False), (0.9999999995e-3, True)):
         monkeypatch.setattr(asymptotics, "solve_saddle", lambda t, n, y=y: real._replace(y=y))
         assert estimate_difference(2000, 10**6).hypotheses_ok is ok, y
@@ -384,6 +384,51 @@ def test_certified_estimate_chooser():
     assert certified_estimate(1, 100_000) is None  # outside t >= 2
     assert certified_estimate(1000, 0) is None  # outside n >= 1: no saddle
     assert certified_estimate(10**6, 0) is None
+
+
+def test_certified_difference_reach():
+    """Past the a-priori reach t >= SADDLE_MIN_T, m >= 1, 24 m - 1 < 4 t^2
+    certified_difference answers None, and estimate offers no difference
+    regime: it estimates log c_t(N) only."""
+    est = certified_difference(1000, 100_000)
+    assert est.certified and est == estimate_difference(1000, 100_000)
+    for t, m in ((999, 100_000), (2000, 0), (3000, 1_500_001)):
+        assert certified_difference(t, m) is None, (t, m)
+    with pytest.raises(ValueError, match="unknown regime"):
+        estimate(1000, 100_000, regime="difference")
+
+
+# Saddle solves per call: auto estimate solves twice in the main regime (to
+# select it, then to answer); the difference route solves only inside its
+# reach 24 (N - t) - 1 < 4 t^2, and the ratio route builds no interval at
+# t + 1 once the one at t is missing.
+SOLVE_COUNTS = {
+    "estimate main": (lambda: estimate(1000, 60_000), 2),
+    "estimate small_t": (lambda: estimate(50, 200_000), 0),
+    "estimate kappa": (lambda: estimate(700, 100_000), 0),
+    "pair difference": (lambda: certify_pair(2000, 100_000), 1),
+    "pair small_t": (lambda: certify_pair(50, 200_000), 0),
+    "pair underflow": (lambda: certify_pair(2000, 10**200), 0),
+    "pair on reach": (lambda: certify_pair(3000, 3000 + 1_500_000), 3),
+    "pair past reach": (lambda: certify_pair(3000, 3000 + 1_500_001), 2),
+    "pair t missing": (lambda: certify_pair(999, 200_000), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_COUNTS))
+def test_saddle_solve_counts(monkeypatch, name):
+    from tcore import asymptotics
+
+    call, expected = SOLVE_COUNTS[name]
+    solves = []
+
+    def counted(t, n):
+        solves.append((t, n))
+        return solve_saddle(t, n)
+
+    monkeypatch.setattr(asymptotics, "solve_saddle", counted)
+    call()
+    assert len(solves) == expected, solves
 
 
 # t from 2 to 1e8 and n from 1 to 1e8, about four and three steps a decade,

@@ -96,12 +96,12 @@ def test_saddle_record(capsys):
 
 
 def test_saddle_flag_marks_the_float_safe_domain(capsys):
-    code, recs = run_cli(capsys, "saddle", "--t", "100000000", "--n", "1")
-    assert code == 0
-    assert recs[-1]["flags"]["within_guarantees"] is False
-    code, recs = run_cli(capsys, "saddle", "--t", "1000", "--n", "60000")
-    assert code == 0
-    assert recs[-1]["flags"]["within_guarantees"] is True
+    # the solver answers past the float-safe domain too; the saddle record
+    # carries no certification flag, as no certificate reads the bare solve
+    for t, n in (("100000000", "1"), ("1000", "60000")):
+        code, recs = run_cli(capsys, "saddle", "--t", t, "--n", n)
+        assert code == 0
+        assert recs[-1]["flags"] == {}
 
 
 def test_saddle_solver_failure_exit_3(capsys):

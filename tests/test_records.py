@@ -37,16 +37,15 @@ RECORDS = [
         SaddleResult,
         (
             "t", "n", "shifted_index", "y", "bracket_lo", "bracket_hi", "residual",
-            "curvature", "drift", "iterations", "within_guarantees",
+            "curvature", "drift", "iterations",
         ),
         {},
         dict(
             t=6, n=1, shifted_index=2.5, y=0.25, bracket_lo=0.125, bracket_hi=0.5,
-            residual=0.0, curvature=1.5, drift=0.0, iterations=3, within_guarantees=True,
+            residual=0.0, curvature=1.5, drift=0.0, iterations=3,
         ),
         "SaddleResult(t=6, n=1, shifted_index=2.5, y=0.25, bracket_lo=0.125, "
-        "bracket_hi=0.5, residual=0.0, curvature=1.5, drift=0.0, iterations=3, "
-        "within_guarantees=True)",
+        "bracket_hi=0.5, residual=0.0, curvature=1.5, drift=0.0, iterations=3)",
     ),
     (
         KappaConstants,

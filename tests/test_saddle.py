@@ -6,11 +6,9 @@ import sys
 import pytest
 
 from tcore import saddle
+from tcore.asymptotics import INTERVAL_PADDING, ROUNDOFF_REL, SADDLE_MIN_T, estimate_main
 from tcore.modular import eta_quotient_log
 from tcore.saddle import (
-    INTERVAL_PADDING,
-    ROUNDOFF_REL,
-    SADDLE_MIN_T,
     SolverError,
     kappa_constants,
     saddle_bracket,
@@ -53,7 +51,6 @@ def test_solve_at_reference_point():
     assert abs(res.residual) < 1e-9 * res.shifted_index
     assert abs(res.drift) < 1e-8
     assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
-    assert res.within_guarantees
 
 
 def test_golden_section_cross_check():
@@ -87,7 +84,6 @@ def test_guarantee_flag_needs_the_float_safe_domain():
     # percent (tests/test_saddle_oracle.py); the reference point stays inside
     res = solve_saddle(10**8, 1)
     assert ROUNDOFF_REL * (res.t * res.y) ** 2 > INTERVAL_PADDING
-    assert not res.within_guarantees
 
 
 def test_guarantee_flag_needs_saddle_min_t():
@@ -95,12 +91,11 @@ def test_guarantee_flag_needs_saddle_min_t():
     res = solve_saddle(8, 1000)
     assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
     assert res.t < SADDLE_MIN_T
-    assert not res.within_guarantees
+    assert not estimate_main(8, 1000).hypotheses_ok
 
 
 def test_small_t_flag_and_rejections():
     res = solve_saddle(3, 50)
-    assert not res.within_guarantees
     assert abs(res.residual) <= 1e-9 * res.shifted_index
     with pytest.raises(ValueError):
         solve_saddle(1, 50)
@@ -126,6 +121,14 @@ def test_scaled_saddle_contract():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             solve_scaled_saddle(bad)
+
+
+def test_kappa_past_a_double_is_refused_and_an_int_kappa_is_stored_as_a_double():
+    for call, kappa in ((kappa_constants, 10**400), (solve_scaled_saddle, 10**309)):
+        with pytest.raises(ValueError, match="normal double"):
+            call(kappa)
+    consts = kappa_constants(10**300)
+    assert type(consts.kappa) is float and consts == kappa_constants(1e300)
 
 
 def test_scaled_saddle_total_in_41_bisections(monkeypatch):
