@@ -1,10 +1,10 @@
 """Exhaustive verification of c_t(N) <= c_{t+1}(N) over a desk-scale box.
 
-The scan settles every pair with N < 2t from a two-term closed form, streams
-two adjacent packed t-series at a time for the rest, and parallelizes over
-t-blocks; results are deterministic and ordered by (t, N).  It reads the
-kernels alone.  The per-pair certificates at large parameters live in
-tcore.certify.
+The scan settles every pair with N < 2t by a lemma on the two-term closed
+form (proved in ``_scan_block``), streams two adjacent packed t-series at a
+time for the rest, and parallelizes over t-blocks; results are deterministic
+and ordered by (t, N).  It reads the kernels alone.  The per-pair
+certificates at large parameters live in tcore.certify.
 """
 
 import os
@@ -46,7 +46,7 @@ class VerificationReport(NamedTuple):
     workers: int = 1
     elapsed_s: float = 0.0
     blocks: list = ()  # [t_lo, t_hi, seconds] per scan block
-    closed_form_pairs: int = 0  # pairs with n < 2t, settled by the closed form
+    closed_form_pairs: int = 0  # pairs with n < 2t, settled by the lemma
 
     @property
     def ok(self) -> bool:
@@ -107,19 +107,6 @@ def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
     return max_n - k // w if k >= 0 else 0
 
 
-def _closed_form_thresholds(p, top) -> list:
-    """thr[m] for m = 0..top: the least t with D >= 1 at every m' = 2..m of
-    the closed-form half of the scan (see ``_scan_block``), that is the
-    running maximum of p(m'-1) // (p(m') - p(m'-1)) + 1.  thr[0] = thr[1] = 0:
-    no pair has m < 2."""
-    thr = [0] * (top + 1)
-    bound = 0
-    for m in range(2, top + 1):
-        bound = max(bound, p[m - 1] // (p[m] - p[m - 1]) + 1)
-        thr[m] = bound
-    return thr
-
-
 def _scan_block(args) -> tuple:
     """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n;
     return (violations, equalities, pairs compared, pairs the closed form
@@ -128,16 +115,21 @@ def _scan_block(args) -> tuple:
     Closed form, n < 2t.  Every inner factor starts 1 - t*x, so
     c_t(n) = sum_j inner[j] * p(n - j*t) has only the terms j = 0, 1 there:
     c_t(n) = p(n) - t*p(n - t), and n < 2t < 2(t+1) gives the same form for
-    t+1.  With m = n - t in 2..min(t-1, max_n-t),
+    t+1.  With m = n - t in 2..min(t-1, max_n-t) and
+    Delta(k) = p(k) - p(k-1),
         D(n) = c_{t+1}(n) - c_t(n) = t*p(m) - (t+1)*p(m-1)
-             = t*(p(m) - p(m-1)) - p(m-1).
-    As p(m) > p(m-1) for m >= 2, D is strictly increasing in t, and D >= 1
-    exactly when t >= p(m-1) // (p(m) - p(m-1)) + 1.  So a t at or above
-    thr[min(t-1, max_n-t)] (``_closed_form_thresholds``) has every n < 2t
-    pair settled without a product.  Any other t, or one with a
-    fault-injection target in this half, has D evaluated pair by pair.  Up
-    to MAX_N_CAP the largest threshold is 56 and thr[m] <= m + 1 <= t, so
-    the evaluation serves faults and exactness, not real scans.
+             = t*Delta(m) - p(m-1),
+    and D(n) >= Delta(m) + 1 >= 2 at every such pair, at any size:
+    - Delta(k) counts the partitions of k with no part 1 (removing one part
+      1 maps the others onto the partitions of k-1);
+    - adding 1 to the largest part maps those of k-1 into those of k
+      injectively, so Delta is nondecreasing from k = 2, and Delta(2) = 1;
+    - hence p(m-1) = 1 + sum_{k=2}^{m-1} Delta(k) <= 1 + (m-2)*Delta(m),
+      and Delta(m) >= 1 gives p(m-1) <= m*Delta(m) - 1 (equality at m = 2
+      and 3);
+    - t >= m + 1 then gives D(n) >= (m+1)*Delta(m) - p(m-1) >= Delta(m) + 1.
+    So this half only counts its pairs, and reads no p-value.  A
+    fault-injection target in it is reported as a violation.
 
     Packed, n >= n0 = 2t (only t <= max_n // 2 has such n).  The inner
     factor of t_lo is the Euler product stepped t_lo - 1 times, and every
@@ -164,20 +156,13 @@ def _scan_block(args) -> tuple:
     violations, equalities = [], []
     pairs = closed = 0
     # the closed-form half; t_hi <= max_n - 2 and t >= 4 give m = 2 a pair
-    thr = _closed_form_thresholds(p, (max_n - 1) // 2)
     for t in range(t_lo, t_hi + 1):
-        top = min(t - 1, max_n - t)
         pairs += max_n - t - 1
-        closed += top - 1
-        fault = corrupt[1] - t if corrupt is not None and corrupt[0] == t else 0
-        if t >= thr[top] and not 2 <= fault <= top:
-            continue
-        for m in range(2, top + 1):
-            d = -1 if m == fault else t * (p[m] - p[m - 1]) - p[m - 1]
-            if d < 0:
-                violations.append((t, t + m))
-            elif d == 0:
-                equalities.append((t, t + m))
+        closed += min(t - 1, max_n - t) - 1
+    if corrupt is not None and t_lo <= corrupt[0] <= t_hi:
+        t, n = corrupt
+        if t + 2 <= n <= t + min(t - 1, max_n - t):
+            violations.append((t, n))
     # the packed half
     t_top = min(t_hi, max_n // 2)
     if t_lo <= t_top:
@@ -328,8 +313,7 @@ def verify_exact(
     (and t <= max_t when given).  Big-integer comparisons only.  The t range
     is cut into one cost-balanced block per worker; the first block runs in
     this process, each other in a child process.  The report lists each
-    block's t range and wall time, and how many pairs the n < 2t closed form
-    settled."""
+    block's t range and wall time, and how many pairs the n < 2t lemma settled."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > MAX_N_CAP:

@@ -29,3 +29,16 @@ def test_perfbench_selftest_passes():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_benchmark_pairs_lie_past_the_closed_form_band(monkeypatch):
+    # perfbench/check.py accepts only the difference and ratio pair methods;
+    # certify_pair answers closed_form only for n < 2t, which no benchmark
+    # pair cell reaches
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    pairs = [cell for cell in workloads.CERTIFIED_GROUPS if cell[0] == "pair"]
+    assert pairs
+    for _, (t_lo, t_hi), (n_lo, n_hi), _, _ in pairs:
+        assert n_lo >= 2 * t_hi, (t_lo, t_hi, n_lo, n_hi)

@@ -16,7 +16,6 @@ from tcore.backend import kernels
 from tcore.verifier import (
     _all_positive,
     _balanced_blocks,
-    _closed_form_thresholds,
     _walk_limit,
     certify_interval_containment,
     certify_pair,
@@ -257,8 +256,23 @@ def test_closed_form_half_matches_exact_counts():
     p = exact.partition_numbers(200).values
     for t in range(4, 101):
         for n in range(t + 2, 2 * t):
+            m = n - t
             d = exact.tcore_count(t + 1, n) - exact.tcore_count(t, n)
-            assert d == closed_form_d(t, n - t, p)
+            assert d == closed_form_d(t, m, p)
+            assert d >= p[m] - p[m - 1] + 1  # the lemma of verifier._scan_block
+
+
+def test_closed_form_lemma_against_the_partition_series():
+    # Delta(m) = p(m) - p(m-1) is nondecreasing from m = 2 and
+    # p(m-1) + 1 <= m * Delta(m), with equality only at m = 2 and 3
+    top = 20_000
+    p = kernels.partition_series(top)
+    delta = [p[m] - p[m - 1] for m in range(2, top + 1)]
+    assert delta[0] == 1
+    assert all(a <= b for a, b in zip(delta, delta[1:]))
+    slack = {m: m * d - p[m - 1] - 1 for m, d in zip(range(2, top + 1), delta)}
+    assert min(slack.values()) == 0
+    assert [m for m, s in slack.items() if s == 0] == [2, 3]
 
 
 def test_closed_form_difference_increases_with_t():
@@ -268,59 +282,34 @@ def test_closed_form_difference_increases_with_t():
         assert all(a < b for a, b in zip(ds, ds[1:]))
 
 
-def test_closed_form_thresholds_match_brute_force():
-    top = 2000
-    p = exact.partition_numbers(top).values
-    thr = _closed_form_thresholds(p, top)
-    assert thr[:2] == [0, 0]
-    least = 0  # the least t with D >= 1 at every m' <= m, found by search
-    for m in range(2, top + 1):
-        while any(closed_form_d(least, k, p) < 1 for k in range(2, m + 1)):
-            least += 1
-        assert thr[m] == least
-
-
-def test_closed_form_thresholds_below_every_scanned_t():
-    # at the resource cap the largest m of a pair is 4999; thr[m] <= m + 1
-    # there, so no real scan reaches the pair-by-pair fallback
-    top = (verifier.MAX_N_CAP - 1) // 2
-    thr = _closed_form_thresholds(exact.partition_numbers(top).values, top)
-    assert all(thr[m] <= m + 1 for m in range(2, top + 1))
-    assert max(thr) == 56
-
-
 @pytest.mark.parametrize("max_n", [9, 10, 11, 60, 211])
-def test_closed_form_fallback_gives_the_same_report(monkeypatch, max_n):
+def test_closed_form_fallback_gives_the_same_report(max_n):
+    # a fault in either half, and on both edges of the closed-form band, is
+    # the one violation of a report that otherwise matches the clean one (at
+    # max_n 10 the packed fault (5, 10) replaces the equality there)
     clean = verify_exact(max_n, workers=1)
     t = max_n // 2
     faults = [(4, 6), (t, 2 * t - 1), (max_n - 2, max_n), (t, 2 * t)]  # the last one packed
-    faulty = [verify_exact(max_n, workers=1, _corrupt=f) for f in faults]
-    # thresholds no t reaches: every n < 2t pair is evaluated one by one
-    monkeypatch.setattr(verifier, "_closed_form_thresholds", lambda p, top: [10**9] * (top + 1))
-    forced = verify_exact(max_n, workers=1)
-    assert (forced.violations, forced.equalities) == (clean.violations, clean.equalities)
-    for fault, report in zip(faults, faulty):
-        forced = verify_exact(max_n, workers=1, _corrupt=fault)
-        assert forced.violations == report.violations == [fault]
-        assert forced.equalities == report.equalities
+    for fault in faults:
+        report = verify_exact(max_n, workers=1, _corrupt=fault)
+        assert report.violations == [fault]
+        assert report.equalities == [e for e in clean.equalities if e != fault]
+        assert report.pairs_checked == clean.pairs_checked
+        assert report.closed_form_pairs == clean.closed_form_pairs
 
 
-def test_closed_form_half_reports_nonpositive_differences(monkeypatch):
-    # a monotone stand-in for p with D(t, m) = t - m - 9: equalities at
-    # t = m + 9, violations below, so every branch of the closed form runs
+def test_closed_form_half_reads_no_partition_values(monkeypatch):
+    # a stand-in for p whose Delta(m) falls from 10 to 1, against the lemma,
+    # would give D(t, m) = t - m - 9 <= 0 at many closed-form pairs; the
+    # half settles them by the lemma, unread
     fake = [1] + [m + 10 for m in range(1, 21)]
-    monkeypatch.setattr(kernels, "partition_series", lambda limit: fake[: limit + 1])
     t_lo, t_hi, max_n = 11, 18, 20  # 2t > max_n: only closed-form pairs
+    assert any(closed_form_d(t, 2, fake) <= 0 for t in range(t_lo, t_hi + 1))
+    clean = verifier._scan_block((t_lo, t_hi, max_n, None))
+    monkeypatch.setattr(kernels, "partition_series", lambda limit: fake[: limit + 1])
     violations, equalities, pairs, closed, _ = verifier._scan_block((t_lo, t_hi, max_n, None))
-    signs = {
-        (t, t + m): closed_form_d(t, m, fake)
-        for t in range(t_lo, t_hi + 1)
-        for m in range(2, min(t - 1, max_n - t) + 1)
-    }
-    assert violations == sorted(k for k, d in signs.items() if d < 0)
-    assert equalities == sorted(k for k, d in signs.items() if d == 0)
-    assert (11, 13) in equalities and (14, 20) in violations
-    assert pairs == closed == len(signs)
+    assert (violations, equalities) == ([], [])
+    assert pairs == closed == clean[2] == clean[3]
 
 
 @pytest.mark.parametrize(
@@ -474,6 +463,40 @@ def test_certify_pair_inconclusive():
     cert = certify_pair(4, 50_000)
     assert cert.method == "inconclusive"
     assert not cert.ok
+
+
+@pytest.mark.parametrize(
+    "t,n", [(120_000, 150_000), (10**6, 10**6 + 2), (10**9, 10**9 + 5), (10**11, 10**11 + 380_000)]
+)
+def test_certify_pair_closed_form_route(t, n):
+    # no earlier route settles these pairs with t + 2 <= n < 2t; the lemma does
+    cert = certify_pair(t, n)
+    assert (cert.method, cert.ok, cert.equality, cert.margin) == ("closed_form", True, False, 2.0)
+    assert cert.detail == {"m": n - t}
+
+
+def test_closed_form_route_comes_last():
+    # a pair the difference route settles keeps it; the band's edges n = t + 1
+    # and n = 2t are outside the lemma
+    assert certify_pair(10**6, 1_500_000).method == "difference"
+    for t in (120_000, 10**6, 10**9):
+        assert certify_pair(t, 2 * t).method != "closed_form"
+        assert certify_pair(t, t + 1).method != "closed_form"
+
+
+def test_closed_form_band_agrees_with_exact_counts(monkeypatch):
+    from tcore import asymptotics
+
+    band = [(t, n) for t in range(3, 61) for n in range(t + 2, 2 * t)]
+    certs = [certify_pair(t, n, exact_cap=0) for t, n in band]
+    assert {c.method for c in certs} == {"exact"}  # the exact regime's fallback
+    # without that fallback the lemma settles every pair of the band
+    monkeypatch.setattr(asymptotics, "exact_regime_holds", lambda t, n: False)
+    lemma = [certify_pair(t, n, exact_cap=0) for t, n in band]
+    assert {c.method for c in lemma} == {"closed_form"}
+    for (t, n), cert, by_lemma in zip(band, certs, lemma):
+        holds = exact.tcore_count(t, n) <= exact.tcore_count(t + 1, n)
+        assert cert.ok == by_lemma.ok == holds, (t, n)
 
 
 @pytest.mark.parametrize("t,n", [(4500, 25000), (10000, 30000)])
