@@ -64,12 +64,10 @@ def log_gamma(x: float) -> float:
 
 
 INTERVAL_PADDING = 1e-9  # least inflation of every certified bound
-# Rounding of a certified quantity, relative to the size of the terms that
-# cancel inside it (_pad): the sum of |terms| of the main-term and small-t
-# logs, (t y)^2 in the relative saddle ordinate (past the bisection's
-# saddle.Y_REL_TOL).  Against 50- and 60-digit evaluations at t = 1e3 to
-# 1e12 these stayed below 4, 1.2 and 1.5 units of 2^-53, so 8 ulp of 1
-# keeps a margin of 4x.
+# Rounding of a certified log, relative to the sum of |terms| that cancel
+# inside it (_pad), for the main-term and small-t logs.  Against 50- and
+# 60-digit evaluations at t = 1e3 to 1e12 it stayed below 4 and 1.2 units
+# of 2^-53, so 8 ulp of 1 keeps a margin of 4x.
 ROUNDOFF_REL = 8.0 * 2.0**-52
 SADDLE_MIN_T = 1000  # the certified saddle regimes need min(t, 1/y) >= this, so t >= it
 
@@ -132,29 +130,26 @@ def estimate_difference(t: int, n: int) -> CertifiedEstimate:
         c_{t+1}(n+t) - c_t(n+t)  in  c_t(n) * [center - E, center + E],
 
     center = 2 pi t y - 1, E = t y (705 y + 120 t y e^(-2 pi t y)), with y the
-    saddle ordinate for (t, n).  The solver's y is within a factor
-    s = 1 + ROUNDOFF_REL (t y)^2 of that root, so the estimate is certified
-    when t >= SADDLE_MIN_T, 1/y >= s SADDLE_MIN_T and t y >= s/2, and the
-    pad covers the center's shift, 2 pi t y (s - 1).
-    log_value is the log of the (positive) center; the consumer multiplies
-    by an exact or certified c_t(n).
+    saddle ordinate for (t, n), which the solver holds within
+    saddle.Y_REL_TOL of the root (no term of its residual has size t^2).
+    Certified when t >= SADDLE_MIN_T, 1/y >= SADDLE_MIN_T and t y >= 1/2;
+    rel is E/center plus INTERVAL_PADDING.  log_value is the log of the
+    (positive) center; the consumer multiplies by an exact or certified
+    c_t(n).
     """
     res = solve_saddle(t, n)
     y = res.y
     ty = t * y
     center = 2.0 * math.pi * ty - 1.0
     halfwidth = ty * (705.0 * y + 120.0 * ty * math.exp(-2.0 * math.pi * ty))
-    s = 1.0 + ROUNDOFF_REL * ty * ty
-    hyp = t >= SADDLE_MIN_T and 1.0 / y >= s * SADDLE_MIN_T and ty >= 0.5 * s
+    hyp = t >= SADDLE_MIN_T and 1.0 / y >= SADDLE_MIN_T and ty >= 0.5
     diagnostics = _saddle_diagnostics(res)
     diagnostics["multiplier_center"] = center
     diagnostics["multiplier_halfwidth"] = halfwidth
     if center > 0.0:
-        log_value = math.log(center)
-        rel = halfwidth / center + _pad(2.0 * math.pi * ty * ty * ty / center)
+        log_value, rel = math.log(center), halfwidth / center + INTERVAL_PADDING
     else:  # t y <= 1/(2 pi), so hyp is already false
-        log_value = math.nan
-        rel = math.inf
+        log_value, rel = math.nan, math.inf
     return CertifiedEstimate(
         log_value=log_value,
         rel_error_bound=rel,

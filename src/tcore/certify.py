@@ -1,8 +1,8 @@
 """Per-pair certificates of c_t(N) <= c_{t+1}(N) at large parameters.
 
-certify_pair settles one adjacent pair by exact comparison, by the
-difference certificate, by separated certified intervals or, for
-t + 2 <= N < 2t, by the lemma the exhaustive scan proves (tcore.verifier);
+certify_pair settles one adjacent pair by exact comparison, by the lemma
+the exhaustive scan proves for t + 2 <= N < 2t (tcore.verifier), by the
+difference certificate or by separated certified intervals;
 certify_interval_containment checks that an exact count lies in a regime's
 certified interval.  The estimators, the exact counts and fractions load on
 the first call that needs them, so a certificate from the estimators alone
@@ -49,16 +49,17 @@ def _exact_certificate(t: int, n: int) -> PairCertificate:
 
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
-    n <= exact_cap, the difference certificate (asymptotics.certified_difference),
-    separated ratio intervals (asymptotics.certified_estimate at t, then at
-    t + 1), exact comparison where the exact regime's rule holds
-    (asymptotics.exact_regime_holds), or, last, for 2 <= n - t < t, the
-    closed form's lemma: c_{t+1}(n) - c_t(n) >= 2 there (proved in
-    verifier._scan_block), with no p-value and no float.  A pair no route
-    settles is "inconclusive"; for t >= 1, n >= 0 the routes raise only
-    ValueError, past exact_cap, where (t + 1)^2 or N + (t^2 - 1)/24
-    overflows a double (saddle.shifted_index, checked before any float
-    route), and where 24 n does at t > 4e152 (saddle.saddle_bracket).
+    n <= exact_cap; for 2 <= n - t < t, the closed form's lemma:
+    c_{t+1}(n) - c_t(n) >= 2 there (proved in verifier._scan_block), with no
+    p-value and no float; the difference certificate
+    (asymptotics.certified_difference); separated ratio intervals
+    (asymptotics.certified_estimate at t, then at t + 1); or exact comparison
+    where the exact regime's rule holds (asymptotics.exact_regime_holds).
+    A pair no route settles is "inconclusive"; for t >= 1, n >= 0 the routes
+    raise only ValueError, past exact_cap and outside the lemma's band, where
+    (t + 1)^2 or N + (t^2 - 1)/24 overflows a double (saddle.shifted_index,
+    checked before any float route), and where 24 n does at t > 4e152
+    (saddle.saddle_bracket).
     margin is the worst-case slack of the winning method (log units for the
     exact and ratio routes, padded multiplier units for the difference route,
     counts for closed_form, whose margin is the proven lower bound 2 on the
@@ -77,6 +78,11 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
     """The first route of certify_pair that settles (t, n), else inconclusive."""
     if n <= exact_cap:
         return _exact_certificate(t, n)
+    if 2 <= n - t < t:
+        return PairCertificate(
+            t=t, n=n, method="closed_form", ok=True, equality=False, margin=2.0,
+            detail={"m": n - t},
+        )
     from .asymptotics import (
         certified_difference,
         certified_estimate,
@@ -107,11 +113,6 @@ def _settle_pair(t: int, n: int, exact_cap: int) -> PairCertificate:
             )
     if exact_regime_holds(t, n):
         return _exact_certificate(t, n)
-    if 2 <= n - t < t:
-        return PairCertificate(
-            t=t, n=n, method="closed_form", ok=True, equality=False, margin=2.0,
-            detail={"m": n - t},
-        )
     return PairCertificate(
         t=t, n=n, method="inconclusive", ok=False, equality=False, margin=0.0, detail={},
     )

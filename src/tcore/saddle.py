@@ -44,18 +44,23 @@ def shifted_index(t: int, n: int) -> float:
 
 
 def saddle_residual(t: int, n: int, y: float) -> float:
-    """g(y) = (D_1(ity) - D_1(iy))/y^2 - M; positive left of the saddle."""
-    m = shifted_index(t, n)
-    return (_d(1, t * y) - _d(1, y)) / (y * y) - m
+    """g(y) = (D_1(ity) - D_1(iy))/y^2 - M; positive left of the saddle.  From
+    t y = 1 up, D_1(ity) = S_1(ty) + (ty)^2/24 (_n_sum), whose (ty)^2/24 is
+    cancelled against the t^2/24 in M by hand, so that no term of g has size
+    t^2: g = (1/24 - n - D_1(iy)/y^2) + S_1(ty)/y^2, with the n-sum added last
+    (near hi the rest rounds to 0, and the sign of g is that of S_1 < 0)."""
+    m = shifted_index(t, n)  # the float-domain gate
+    if t * y < 1.0:
+        return (_d(1, t * y) - _d(1, y)) / (y * y) - m
+    return (1.0 / 24.0 - n - _d(1, y) / (y * y)) + _n_sum(1, t * y) / (y * y)
 
 
-def _residual_noise(m: float, y: float) -> float:
-    """Rounding floor of g(y): RESIDUAL_NOISE_REL times the size of the terms
-    that cancel in it.  M bounds the quotient D_1(ity)/y^2 at large t*y, and
-    1/(12 y^2) the two D_1 quotients where t*y < 1 (|D_1(iy)| <= 1/24 below
-    y = 1).  The second outgrows M when (t - 1) y is small (small t, large
-    n), as M = (t - 1)/(4 pi y) at the lower endpoint."""
-    return RESIDUAL_NOISE_REL * (m + 1.0 / (12.0 * y * y))
+def _residual_noise(y: float) -> float:
+    """Rounding floor of g(y): RESIDUAL_NOISE_REL times 1/(12 y^2), which
+    bounds the terms that cancel in it.  Inside the bracket n < (1/y^2 + 1)/24
+    (saddle_bracket's hi) and |D_1(iy)| <= 1/24 (y < 1); where t y < 1, also
+    (t^2 - 1)/24 < 1/(24 y^2) and |D_1(ity)| <= 1/24."""
+    return RESIDUAL_NOISE_REL / (12.0 * y * y)
 
 
 def saddle_bracket(t: int, n: int) -> tuple:
@@ -118,10 +123,9 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
     endpoint residual is rounding noise), the nudged endpoint itself is
     returned.  At the upper endpoint the exact g is -t^2 sum_k sigma(k)
     e^(-2 pi k t y) < 0 (the endpoint solves the t -> oo equation), which
-    for t*y >~ 6 falls below the rounding of the (t^2 - 1)/24 terms that
-    cancel inside g; bisection then settles inside that noise band.  A
-    residual beyond the noise floor at either endpoint signals an evaluation
-    bug.
+    for t*y >~ 7 falls below the rounding of n inside g; bisection then
+    settles inside that noise band.  A residual beyond the noise floor at
+    either endpoint signals an evaluation bug.
     """
     if t < 2 or n < 0:
         raise ValueError("requires t >= 2 and n >= 0")
@@ -131,7 +135,7 @@ def solve_saddle(t: int, n: int) -> SaddleResult:
     hi = b_hi * (1.0 - _BRACKET_NUDGE)
     g_lo = saddle_residual(t, n, lo)
     g_hi = saddle_residual(t, n, hi)
-    if g_hi >= _residual_noise(m, hi) or g_lo <= -_residual_noise(m, lo):
+    if g_hi >= _residual_noise(hi) or g_lo <= -_residual_noise(lo):
         raise SolverError(
             f"bracket sign failure at (t, n) = ({t}, {n}): "
             f"g(lo) = {g_lo:.3e}, g(hi) = {g_hi:.3e}"

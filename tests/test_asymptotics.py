@@ -12,7 +12,6 @@ from tcore import exact
 from tcore.asymptotics import (
     EXACT_REGIME_MAX_N,
     INTERVAL_PADDING,
-    ROUNDOFF_REL,
     SADDLE_MIN_T,
     HypothesisError,
     big_t_threshold,
@@ -124,36 +123,35 @@ def test_difference_at_reference():
 
 
 def test_difference_pads_the_rounding_of_y(monkeypatch):
-    """Where y's rounding, ROUNDOFF_REL (t y)^2, passes the 1e-9 floor the
-    difference route no longer refuses (t y = 9120 at (1e7, 5e4)): its pad
-    grows to 2 pi (t y)^3 / center times ROUNDOFF_REL, and the pair
-    certificate subtracts it.  At t = 1e11 the pad passes 1 with the
-    hypotheses holding, and the unpadded center - E > 0 must not certify.
-    The hypotheses hold for every root within that rounding: at t = 1e9,
-    y = 0.9995e-3 is refused, as the root may lie above 1e-3."""
-    est = estimate_difference(10**7, 50_000)
-    ty = 10**7 * est.diagnostics["y"]
+    """The solver holds y within Y_REL_TOL of the root at every t y tested
+    (no term of its residual has size t^2), so the multiplier's rel is
+    E/center plus INTERVAL_PADDING alone, and the pair certificate subtracts
+    it.  The
+    hypotheses are checked as written, at t y = 1e6 too: 1/y against
+    SADDLE_MIN_T is refused by a miss of 5e-10 relative and holds with that
+    margin on the right side.  Past kappa = t^2/m ~ 1e16, where a rounding
+    model of y used to refuse, the route certifies, with y on the 50-digit
+    root (tests/test_saddle_oracle.py, test_solve_matches_oracle_root)."""
+    t, m = 10**7, 10**8
+    est = estimate_difference(t, m)
     center = est.diagnostics["multiplier_center"]
-    assert est.hypotheses_ok and ROUNDOFF_REL * ty * ty > INTERVAL_PADDING
-    pad = ROUNDOFF_REL * 2.0 * math.pi * ty**3 / center
-    assert est.rel_error_bound == pytest.approx(
-        est.diagnostics["multiplier_halfwidth"] / center + pad, rel=1e-12
-    )
-    cert = certify_pair(10**7, 10**7 + 50_000)
+    halfwidth = est.diagnostics["multiplier_halfwidth"]
+    assert est.hypotheses_ok
+    assert est.rel_error_bound == halfwidth / center + INTERVAL_PADDING
+    cert = certify_pair(t, t + m)
     assert cert.method == "difference"
     assert cert.margin == center * (1.0 - est.rel_error_bound)
-    t, m = 10**11, 380_000
-    est = estimate_difference(t, m)
-    diag = est.diagnostics
-    assert est.hypotheses_ok and est.rel_error_bound > 1.0
-    assert diag["multiplier_center"] - diag["multiplier_halfwidth"] > 0.0
-    assert certify_pair(t, t + m).method == "closed_form"  # m < t: not by difference
     from tcore import asymptotics
 
     real = solve_saddle(10**9, 42_000)
-    for y, ok in ((0.9995e-3, False), (0.997e-3, True)):
+    for y, ok in ((1.0000000005e-3, False), (0.9999999995e-3, True)):
         monkeypatch.setattr(asymptotics, "solve_saddle", lambda t, n, y=y: real._replace(y=y))
         assert estimate_difference(10**9, 42_000).hypotheses_ok is ok, y
+    monkeypatch.undo()
+    for t, m in ((10**17, 10**17), (10**20, 10**21)):
+        cert = certify_pair(t, t + m)
+        assert (cert.method, cert.ok) == ("difference", True), (t, m)
+        assert cert.detail["y"] == solve_saddle(t, m).y
 
 
 def test_difference_hypotheses_fail_small():

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from tcore import saddle
-from tcore.asymptotics import INTERVAL_PADDING, ROUNDOFF_REL, SADDLE_MIN_T, estimate_main
+from tcore.asymptotics import SADDLE_MIN_T, estimate_main
 from tcore.modular import eta_quotient_log
 from tcore.saddle import (
+    Y_REL_TOL,
     SolverError,
     kappa_constants,
     saddle_bracket,
@@ -45,12 +46,19 @@ def golden_minimize(f, lo, hi, iters=120):
     return 0.5 * (a + b)
 
 
+def resolves_its_root(res) -> bool:
+    """The float residual changes sign across y, 2 Y_REL_TOL to either side:
+    no rounding band of g hides the root."""
+    below, above = res.y * (1.0 - 2.0 * Y_REL_TOL), res.y * (1.0 + 2.0 * Y_REL_TOL)
+    return saddle_residual(res.t, res.n, below) > 0.0 > saddle_residual(res.t, res.n, above)
+
+
 def test_solve_at_reference_point():
     res = solve_saddle(1000, 60000)
     assert res.bracket_lo < res.y < res.bracket_hi
     assert abs(res.residual) < 1e-9 * res.shifted_index
     assert abs(res.drift) < 1e-8
-    assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
+    assert resolves_its_root(res)
 
 
 def test_golden_section_cross_check():
@@ -80,16 +88,17 @@ def test_curvature_band():
 
 
 def test_guarantee_flag_needs_the_float_safe_domain():
-    # at (1e8, 1) the relative rounding of y, ~2^-53 (t y)^2 / 2, is a few
-    # percent (tests/test_saddle_oracle.py); the reference point stays inside
-    res = solve_saddle(10**8, 1)
-    assert ROUNDOFF_REL * (res.t * res.y) ** 2 > INTERVAL_PADDING
+    # from t y = 1 up the t^2/24 terms cancel by hand, so g keeps its sign
+    # change at t y = 1e6 and 2e8, where a g that held them read the same
+    # rounding on both sides of y (tests/test_saddle_oracle.py has the root)
+    for t, n in ((10**9, 42_000), (10**12, 10**6)):
+        assert resolves_its_root(solve_saddle(t, n)), (t, n)
 
 
 def test_guarantee_flag_needs_saddle_min_t():
     # y is float-safe at t = 8, but no certified saddle regime reaches t < 1000
     res = solve_saddle(8, 1000)
-    assert ROUNDOFF_REL * (res.t * res.y) ** 2 <= INTERVAL_PADDING
+    assert resolves_its_root(res)
     assert res.t < SADDLE_MIN_T
     assert not estimate_main(8, 1000).hypotheses_ok
 

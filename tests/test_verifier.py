@@ -469,43 +469,62 @@ def test_certify_pair_inconclusive():
     "t,n", [(120_000, 150_000), (10**6, 10**6 + 2), (10**9, 10**9 + 5), (10**11, 10**11 + 380_000)]
 )
 def test_certify_pair_closed_form_route(t, n):
-    # no earlier route settles these pairs with t + 2 <= n < 2t; the lemma does
+    # past exact_cap the lemma settles these pairs with t + 2 <= n < 2t
     cert = certify_pair(t, n)
     assert (cert.method, cert.ok, cert.equality, cert.margin) == ("closed_form", True, False, 2.0)
     assert cert.detail == {"m": n - t}
 
 
-def test_closed_form_route_comes_last():
-    # a pair the difference route settles keeps it; the band's edges n = t + 1
-    # and n = 2t are outside the lemma
-    assert certify_pair(10**6, 1_500_000).method == "difference"
+def test_closed_form_route_comes_first():
+    # past exact_cap the lemma answers its band before any other route, so
+    # pairs the difference route or the exact regime settled are re-labelled;
+    # the band's edges n = t + 1 and n = 2t are outside the lemma
+    assert certify_pair(10**6, 1_500_000).method == "closed_form"
+    assert certify_pair(10**7, 10**7 + 50_000).method == "closed_form"
+    assert certify_pair(60_000, 100_000).method == "closed_form"
     for t in (120_000, 10**6, 10**9):
         assert certify_pair(t, 2 * t).method != "closed_form"
         assert certify_pair(t, t + 1).method != "closed_form"
 
 
-def test_closed_form_band_agrees_with_exact_counts(monkeypatch):
-    from tcore import asymptotics
-
+def test_closed_form_band_agrees_with_exact_counts():
     band = [(t, n) for t in range(3, 61) for n in range(t + 2, 2 * t)]
-    certs = [certify_pair(t, n, exact_cap=0) for t, n in band]
-    assert {c.method for c in certs} == {"exact"}  # the exact regime's fallback
-    # without that fallback the lemma settles every pair of the band
-    monkeypatch.setattr(asymptotics, "exact_regime_holds", lambda t, n: False)
-    lemma = [certify_pair(t, n, exact_cap=0) for t, n in band]
-    assert {c.method for c in lemma} == {"closed_form"}
-    for (t, n), cert, by_lemma in zip(band, certs, lemma):
+    for t, n in band:
+        cert = certify_pair(t, n, exact_cap=0)
+        assert cert.method == "closed_form", (t, n)
         holds = exact.tcore_count(t, n) <= exact.tcore_count(t + 1, n)
-        assert cert.ok == by_lemma.ok == holds, (t, n)
+        assert cert.ok == holds, (t, n)
+
+
+def test_closed_form_needs_no_float_and_no_p_value():
+    # the float-domain gate comes after the lemma: t^2 overflows a double here
+    cert = certify_pair(10**160, 10**160 + 5)
+    assert (cert.method, cert.ok, cert.detail) == ("closed_form", True, {"m": 5})
+    # the exact regime's p-series to 10^5 (seconds of bignum work) is not built,
+    # and neither the exact counts nor the estimators load
+    src = os.path.dirname(os.path.dirname(tcore.__file__))
+    code = (
+        "import sys\n"
+        "from tcore.certify import certify_pair\n"
+        "assert certify_pair(60000, 100000).method == 'closed_form'\n"
+        "loaded = [m for m in ('tcore.exact', 'tcore.asymptotics') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("t,n", [(4500, 25000), (10000, 30000)])
 def test_certify_pair_survives_saddle_failure(t, n):
-    # g rounds to 0 at the upper bracket endpoint of the difference route's
-    # saddle solve at (t, n - t); the solve succeeds, but 1/y < 1000 fails the
-    # difference hypotheses, and the ratio route has no certified regime, so
-    # the certificate falls through to the exact comparison: t is above the
-    # big-t threshold, where the inner factors are short.
+    # g at the upper bracket endpoint of the difference route's saddle solve
+    # at (t, n - t) is rounding noise of n; the solve succeeds, but
+    # 1/y < 1000 fails the difference hypotheses, and the ratio route has no
+    # certified regime, so the certificate falls through to the exact
+    # comparison: t is above the big-t threshold, where the inner factors
+    # are short.
     cert = certify_pair(t, n)
     assert cert.method == "exact" and cert.ok
     assert cert == certify_pair(t, n, exact_cap=n)
