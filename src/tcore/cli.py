@@ -115,7 +115,7 @@ def _cmd_estimate(opts) -> int:
         "regime": est.regime,
         "diagnostics": est.diagnostics,
     }
-    if est.rel_error_bound is not None and est.rel_error_bound < 1.0:
+    if est.certified:
         result["log_interval"] = list(log_interval(est))
     flags = {"hypotheses_ok": est.hypotheses_ok, "certified": est.certified}
     _emit("estimate", {"t": opts.t, "n": opts.n, "regime": opts.regime}, result, flags, started)

@@ -1,10 +1,10 @@
-"""Shared caches under threads: a grow that finishes late never shrinks them,
-and every caller gets at least the entries it asked for."""
+"""The shared p-series cache under threads: a grow that finishes late never
+shrinks it, and every caller gets at least the entries it asked for."""
 
 import threading
 from types import SimpleNamespace
 
-from tcore import _series_py, exact, modular
+from tcore import _series_py, exact
 
 
 class _Gate:
@@ -46,18 +46,6 @@ def test_partition_cache_never_shrinks(monkeypatch):
     got = _late_small_grow(gate, exact._partition_values, 10, 100)
     assert len(exact._p_values) == 101  # the late 11-entry list did not replace it
     reference = _series_py.partition_series(100)
-    assert got["large"] == reference
-    assert len(got["small"]) >= 11
-    assert got["small"][:11] == reference[:11]
-
-
-def test_sigma_table_never_shrinks(monkeypatch):
-    monkeypatch.setattr(modular, "_sigma_table", [0, 1])
-    gate = _Gate(modular._sigma_sieve)
-    monkeypatch.setattr(modular, "_sigma_sieve", gate)
-    got = _late_small_grow(gate, modular._grow_sigma, 10, 100)
-    assert len(modular._sigma_table) == 101
-    reference = [0] + [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 101)]
     assert got["large"] == reference
     assert len(got["small"]) >= 11
     assert got["small"][:11] == reference[:11]

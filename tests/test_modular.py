@@ -3,10 +3,11 @@ and the bounds the certified estimates rely on."""
 
 import cmath
 import math
+import time
 
 import pytest
 
-from tcore import exact
+from tcore import exact, modular
 from tcore.modular import (
     e_of,
     eta_log,
@@ -32,12 +33,83 @@ def test_sigma_values():
 
 def test_sigma_brute():
     for n in range(1, 200):
-        assert sigma(n) == sum(d for d in range(1, n + 1) if n % d == 0)
+        assert sigma(n) == _brute_sigma(n)
 
 
 def test_sigma_validation():
     with pytest.raises(ValueError):
         sigma(0)
+
+
+def _brute_sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_sigma_large_n_is_fast():
+    # divisor pairs up to sqrt(n): no table of n entries
+    for n, want in ((8128, 16256), (2**40, 2**41 - 1), (10**12 + 39, 10**12 + 40)):
+        start = time.perf_counter()
+        assert sigma(n) == want
+        assert time.perf_counter() - start < 1.0, n
+
+
+def test_sigma_table_is_fixed():
+    table = modular._sigma_table
+    assert len(table) == modular.SERIES_TERMS + 1 == 33
+    assert table == [0] + [_brute_sigma(n) for n in range(1, 33)]
+    for k in range(5):
+        for y in (1e-3, 0.5, 1.0, 3.0):
+            eta_log_deriv(k, complex(0.0, y))
+            eta_log_deriv_prime(k, complex(0.0, y))
+    sigma(10**6)
+    assert modular._sigma_table is table and len(table) == 33
+
+
+# --- the n-sum bound -------------------------------------------------------------
+
+def test_natural_region_needs_at_most_12_terms(monkeypatch):
+    # the corners of the natural region: either side of y = 1 on the axis,
+    # and the inverted branch's edge |x| = y/3 just below y = 1
+    counts = []
+    summed = modular._sum_terms
+
+    def counting(term_fn):
+        calls = [0]
+
+        def term(n):
+            calls[0] += 1
+            return term_fn(n)
+
+        try:
+            return summed(term)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(modular, "_sum_terms", counting)
+    corners = [complex(0.0, 1.0 + 1e-6), complex(0.0, 1.0 - 1e-6)]
+    corners += [complex(sign * 0.333 * 0.999, 0.999) for sign in (1, -1)]
+    for z in corners:
+        for k in range(5):
+            eta_log_deriv(k, z)
+            eta_log_deriv_prime(k, z)
+    assert len(counts) == len(corners) * 5 * 3
+    assert max(counts) <= 12
+
+
+def test_forced_branch_band():
+    # on the q branch the n-sum of D_5 (read by D_4') would need 38 terms at
+    # y = 0.25; at y = 0.5 it takes 20
+    with pytest.raises(RuntimeError):
+        eta_log_deriv_prime(4, complex(0.0, 0.25), branch="q")
+    z = complex(0.0, 0.5)
+    assert [eta_log_deriv(k, z, branch="q") for k in range(5)] == [
+        0.014087494162924022, -0.0018744435148517861, 0.043581446956150856,
+        -0.17011382702442177, 0.7630737602033747,
+    ]
+    assert [eta_log_deriv_prime(k, z, branch="q") for k in range(5)] == [
+        -0.024426101296144472j, -0.07966511985289457j, 0.07873897231193838j,
+        -0.16523690421137527j, 0.45030817326541417j,
+    ]
 
 
 # --- eta ---------------------------------------------------------------------------
