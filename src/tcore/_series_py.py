@@ -56,24 +56,9 @@ def partition_series(limit, prefix=()):
 
 
 def euler_factor(cap):
-    """Coefficients of prod_{n>=1} (1 - x^n) through degree cap.
-
-    Sparse by the pentagonal number theorem: the only nonzero coefficients
-    sit at generalized pentagonal indices, with sign (-1)^k.
-    """
-    e = [0] * (cap + 1)
-    e[0] = 1
-    k = 1
-    while True:
-        g = k * (3 * k - 1) // 2
-        if g > cap:
-            break
-        sign = -1 if k & 1 else 1
-        e[g] = sign
-        if g + k <= cap:
-            e[g + k] = sign
-        k += 1
-    return e
+    """Coefficients of prod_{n>=1} (1 - x^n) through degree cap: euler_step
+    applied to 1, so only the generalized pentagonal indices are nonzero."""
+    return euler_step([1], cap)
 
 
 def poly_mul_trunc(a, b, cap):
@@ -188,14 +173,6 @@ def core_series_packed(inner, t, q, width):
 
 
 def core_single_from_inner(inner, t, p, n):
-    """c_t(n) alone: one sparse dot product against the p-series."""
-    s = 0
-    jt = 0
-    j = 0
-    while jt <= n and j < len(inner):
-        cj = inner[j]
-        if cj:
-            s += cj * p[n - jt]
-        j += 1
-        jt += t
-    return s
+    """c_t(n) alone: one dot product of inner with p(n), p(n - t), ...;
+    map stops at the shorter of the two."""
+    return sum(map(mul, inner, p[n::-t]))

@@ -47,9 +47,10 @@ class CertifiedEstimate(NamedTuple):
 
 
 def log_interval(est: CertifiedEstimate) -> tuple:
-    """Certified enclosure of log c in natural-log units."""
-    if est.rel_error_bound is None or est.rel_error_bound >= 1.0:
-        raise HypothesisError(f"regime {est.regime} carries no usable interval")
+    """Certified enclosure of log c in natural-log units; HypothesisError
+    unless est.certified."""
+    if not est.certified:
+        raise HypothesisError(f"regime {est.regime} certifies no interval")
     r = est.rel_error_bound
     return est.log_value + math.log1p(-r), est.log_value + math.log1p(r)
 

@@ -50,7 +50,7 @@ def _exact_certificate(t: int, n: int) -> PairCertificate:
 def certify_pair(t: int, n: int, exact_cap: int = EXACT_PAIR_CAP) -> PairCertificate:
     """Establish c_t(n) <= c_{t+1}(n) by, in order: exact comparison when
     n <= exact_cap; for 2 <= n - t < t, the closed form's lemma:
-    c_{t+1}(n) - c_t(n) >= 2 there (proved in verifier._scan_block), with no
+    c_{t+1}(n) - c_t(n) >= 2 there (proved in verifier.verify_exact), with no
     p-value and no float; the difference certificate
     (asymptotics.certified_difference); separated ratio intervals
     (asymptotics.certified_estimate at t, then at t + 1); or exact comparison
@@ -134,11 +134,12 @@ def certify_interval_containment(t: int, n: int, regime: str) -> tuple:
         return _difference_containment(t, n)
     else:
         raise ValueError(f"unsupported regime {regime!r}")
-    if not est.hypotheses_ok:
-        raise HypothesisError(f"hypotheses of regime {regime} fail at ({t}, {n})")
+    try:
+        lo, hi = log_interval(est)
+    except HypothesisError as exc:
+        raise HypothesisError(f"{exc} at ({t}, {n})") from None
     from . import exact
 
-    lo, hi = log_interval(est)
     lg = exact.log_of_integer(exact.tcore_count(t, n))
     return (lo <= lg <= hi), min(lg - lo, hi - lg)
 

@@ -1,9 +1,10 @@
 """Exhaustive verification of c_t(N) <= c_{t+1}(N) over a desk-scale box.
 
 The scan settles every pair with N < 2t by a lemma on the two-term closed
-form (proved in ``_scan_block``), streams two adjacent packed t-series at a
-time for the rest, and parallelizes over t-blocks; results are deterministic
-and ordered by (t, N).  It reads the kernels alone.  The per-pair
+form (proved in ``verify_exact``), which counts those pairs from max N and
+max t alone.  Blocks of t, run in parallel, stream two adjacent packed
+t-series at a time for the rest; results are deterministic and ordered by
+(t, N).  It reads the kernels alone.  The per-pair
 certificates at large parameters live in tcore.certify.
 """
 
@@ -108,33 +109,14 @@ def _walk_limit(prev, nxt, bias, w, t, max_n) -> int:
 
 
 def _scan_block(args) -> tuple:
-    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over t+2 <= n <= max_n;
-    return (violations, equalities, pairs compared, pairs the closed form
-    settled, wall seconds).  The pairs split at n = 2t into two halves.
+    """Compare pairs (t, t+1) for t in [t_lo, t_hi] over 2t <= n <= max_n;
+    return (violations, equalities, wall seconds).  The pairs with n < 2t
+    are settled by the lemma in ``verify_exact``, which counts them.
 
-    Closed form, n < 2t.  Every inner factor starts 1 - t*x, so
-    c_t(n) = sum_j inner[j] * p(n - j*t) has only the terms j = 0, 1 there:
-    c_t(n) = p(n) - t*p(n - t), and n < 2t < 2(t+1) gives the same form for
-    t+1.  With m = n - t in 2..min(t-1, max_n-t) and
-    Delta(k) = p(k) - p(k-1),
-        D(n) = c_{t+1}(n) - c_t(n) = t*p(m) - (t+1)*p(m-1)
-             = t*Delta(m) - p(m-1),
-    and D(n) >= Delta(m) + 1 >= 2 at every such pair, at any size:
-    - Delta(k) counts the partitions of k with no part 1 (removing one part
-      1 maps the others onto the partitions of k-1);
-    - adding 1 to the largest part maps those of k-1 into those of k
-      injectively, so Delta is nondecreasing from k = 2, and Delta(2) = 1;
-    - hence p(m-1) = 1 + sum_{k=2}^{m-1} Delta(k) <= 1 + (m-2)*Delta(m),
-      and Delta(m) >= 1 gives p(m-1) <= m*Delta(m) - 1 (equality at m = 2
-      and 3);
-    - t >= m + 1 then gives D(n) >= (m+1)*Delta(m) - p(m-1) >= Delta(m) + 1.
-    So this half only counts its pairs, and reads no p-value.  A
-    fault-injection target in it is reported as a violation.
-
-    Packed, n >= n0 = 2t (only t <= max_n // 2 has such n).  The inner
-    factor of t_lo is the Euler product stepped t_lo - 1 times, and every
-    following t steps it once more (``kernels.euler_step``); its truncation
-    cap max_n // t only shrinks as t grows, so the stepped factor stays exact
+    Only t <= max_n // 2 has such n; write n0 = 2t.  The inner factor of
+    t_lo is the Euler product stepped t_lo - 1 times, and every following t
+    steps it once more (``kernels.euler_step``); its truncation cap
+    max_n // t only shrinks as t grows, so the stepped factor stays exact
     through it.  The p(n) term is the same on both sides of a pair, so the
     block compares r_t = c_t - p with r_{t+1} and never computes the j = 0
     row; order and equality are those of c_t and c_{t+1}.
@@ -154,16 +136,6 @@ def _scan_block(args) -> tuple:
     t_lo, t_hi, max_n, corrupt = args
     p = kernels.partition_series(max_n)
     violations, equalities = [], []
-    pairs = closed = 0
-    # the closed-form half; t_hi <= max_n - 2 and t >= 4 give m = 2 a pair
-    for t in range(t_lo, t_hi + 1):
-        pairs += max_n - t - 1
-        closed += min(t - 1, max_n - t) - 1
-    if corrupt is not None and t_lo <= corrupt[0] <= t_hi:
-        t, n = corrupt
-        if t + 2 <= n <= t + min(t - 1, max_n - t):
-            violations.append((t, n))
-    # the packed half
     t_top = min(t_hi, max_n // 2)
     if t_lo <= t_top:
         w = (p[max_n].bit_length() + 9) // 8
@@ -196,7 +168,7 @@ def _scan_block(args) -> tuple:
                     elif x == y:
                         equalities.append((t, n))
             inner, prev = step, nxt
-    return violations, equalities, pairs, closed, time.perf_counter() - started
+    return violations, equalities, time.perf_counter() - started
 
 
 def _usable_cpus() -> int:
@@ -310,10 +282,31 @@ def verify_exact(
     _corrupt: Optional[tuple] = None,
 ) -> VerificationReport:
     """Exhaustive exact comparison over 4 <= t < n-1, n <= max_n
-    (and t <= max_t when given).  Big-integer comparisons only.  The t range
-    is cut into one cost-balanced block per worker; the first block runs in
-    this process, each other in a child process.  The report lists each
-    block's t range and wall time, and how many pairs the n < 2t lemma settled."""
+    (and t <= max_t when given).  Big-integer comparisons only.  The pairs
+    with n >= 2t go to ``_scan_block``: the t range is cut into one
+    cost-balanced block per worker; the first block runs in this process,
+    each other in a child process.  The report lists each block's t range
+    and wall time, and how many pairs the n < 2t lemma settled.
+
+    Lemma: every pair with n < 2t holds strictly, at any size.  Every inner
+    factor starts 1 - t*x, so c_t(n) = sum_j inner[j] * p(n - j*t) has only
+    the terms j = 0, 1 there: c_t(n) = p(n) - t*p(n - t), and
+    n < 2t < 2(t+1) gives the same form for t+1.  With m = n - t in
+    2..min(t-1, max_n-t) and Delta(k) = p(k) - p(k-1),
+        D(n) = c_{t+1}(n) - c_t(n) = t*p(m) - (t+1)*p(m-1)
+             = t*Delta(m) - p(m-1),
+    and D(n) >= Delta(m) + 1 >= 2 at every such pair:
+    - Delta(k) counts the partitions of k with no part 1 (removing one part
+      1 maps the others onto the partitions of k-1);
+    - adding 1 to the largest part maps those of k-1 into those of k
+      injectively, so Delta is nondecreasing from k = 2, and Delta(2) = 1;
+    - hence p(m-1) = 1 + sum_{k=2}^{m-1} Delta(k) <= 1 + (m-2)*Delta(m),
+      and Delta(m) >= 1 gives p(m-1) <= m*Delta(m) - 1 (equality at m = 2
+      and 3);
+    - t >= m + 1 then gives D(n) >= (m+1)*Delta(m) - p(m-1) >= Delta(m) + 1.
+    So those pairs are only counted, from max_n and the top t, and no
+    p-value is read for them.  A fault-injection target among them is
+    reported as a violation."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_n > MAX_N_CAP:
@@ -332,13 +325,18 @@ def verify_exact(
     blocks = _balanced_blocks(4, t_hi, max_n, workers)
     results = _run_blocks([(lo, hi, max_n, _corrupt) for lo, hi in blocks])
     violations, equalities, timed = [], [], []
-    pairs = closed = 0
-    for (lo, hi), (v, e, c, settled, seconds) in zip(blocks, results):
+    for (lo, hi), (v, e, seconds) in zip(blocks, results):
         violations.extend(v)
         equalities.extend(e)
-        pairs += c
-        closed += settled
         timed.append([lo, hi, seconds])
+    ts = range(4, t_hi + 1)
+    # t <= max_n - 2 and t >= 4 give every t the closed-form pair m = 2
+    pairs = sum(max_n - t - 1 for t in ts)
+    closed = sum(min(t - 1, max_n - t) - 1 for t in ts)
+    if _corrupt is not None:
+        t, n = _corrupt
+        if 4 <= t <= t_hi and t + 2 <= n <= t + min(t - 1, max_n - t):
+            violations.append((t, n))
     return VerificationReport(
         max_n=max_n,
         max_t=max_t,

@@ -510,6 +510,14 @@ def test_log_interval_requires_usable_bound():
     assert lo < hi
 
 
+def test_log_interval_requires_certified_estimate():
+    # main's bound is below 1 at (500, 10^5), but its hypotheses need t >= 1000
+    est = estimate_main(500, 100_000)
+    assert not est.hypotheses_ok and est.rel_error_bound < 1.0
+    with pytest.raises(HypothesisError, match="main"):
+        log_interval(est)
+
+
 # --- Gaussian integral check --------------------------------------------------------------------
 
 def test_gaussian_base_case():

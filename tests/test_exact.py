@@ -349,6 +349,7 @@ def test_square_kernel_matches_general_product():
         (exact.core_inner_factor(9, 5), 9, 150),  # shorter than limit // t + 1
         (exact.core_inner_factor(200, 0), 200, 150),  # t > limit
         (exact.core_inner_factor(200, 3), 200, 150),  # longer than needed
+        (exact.core_inner_factor(31, 150 // 31 + 5), 31, 150),  # ditto
         (exact.core_inner_factor(5, 0), 5, 0),  # limit = 0
         ([0, 3, 0, 0, -2, 0, 7], 6, 150),  # zeros, including inner[0]
         ([], 3, 20),
@@ -360,7 +361,9 @@ def test_series_kernel_matches_references(inner, t, limit):
     p = exact.partition_numbers(limit).values
     series = kernels.core_series_from_inner(inner, t, p, limit)
     assert series == core_series_n_major(inner, t, p, limit)
-    assert series == [kernels.core_single_from_inner(inner, t, p, n) for n in range(limit + 1)]
+    # perfbench/check.py builds one p-series to its largest n: it runs past n
+    long_p = exact.partition_numbers(limit + 40).values
+    assert series == [kernels.core_single_from_inner(inner, t, long_p, n) for n in range(limit + 1)]
 
 
 @pytest.mark.parametrize("t,limit", [(1, 40), (4, 150), (9, 150), (150, 150), (200, 150)])

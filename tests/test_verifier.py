@@ -259,7 +259,7 @@ def test_closed_form_half_matches_exact_counts():
             m = n - t
             d = exact.tcore_count(t + 1, n) - exact.tcore_count(t, n)
             assert d == closed_form_d(t, m, p)
-            assert d >= p[m] - p[m - 1] + 1  # the lemma of verifier._scan_block
+            assert d >= p[m] - p[m - 1] + 1  # the lemma of verifier.verify_exact
 
 
 def test_closed_form_lemma_against_the_partition_series():
@@ -300,16 +300,15 @@ def test_closed_form_fallback_gives_the_same_report(max_n):
 
 def test_closed_form_half_reads_no_partition_values(monkeypatch):
     # a stand-in for p whose Delta(m) falls from 10 to 1, against the lemma,
-    # would give D(t, m) = t - m - 9 <= 0 at many closed-form pairs; the
-    # half settles them by the lemma, unread
+    # would give D(t, m) = t - m - 9 <= 0 at many closed-form pairs; a block
+    # of such t leaves them to the lemma, unread
     fake = [1] + [m + 10 for m in range(1, 21)]
     t_lo, t_hi, max_n = 11, 18, 20  # 2t > max_n: only closed-form pairs
     assert any(closed_form_d(t, 2, fake) <= 0 for t in range(t_lo, t_hi + 1))
     clean = verifier._scan_block((t_lo, t_hi, max_n, None))
     monkeypatch.setattr(kernels, "partition_series", lambda limit: fake[: limit + 1])
-    violations, equalities, pairs, closed, _ = verifier._scan_block((t_lo, t_hi, max_n, None))
-    assert (violations, equalities) == ([], [])
-    assert pairs == closed == clean[2] == clean[3]
+    violations, equalities, _ = verifier._scan_block((t_lo, t_hi, max_n, None))
+    assert (violations, equalities) == ([], []) == clean[:2]
 
 
 @pytest.mark.parametrize(
@@ -368,8 +367,9 @@ def test_spawned_workers_give_the_same_report():
 def test_run_blocks_returns_every_block_in_order():
     tasks = [(4, 5, 40, None), (6, 7, 40, (6, 30)), (8, 38, 40, (9, 12))]
     results = verifier._run_blocks(tasks)
-    assert [r[:4] for r in results] == [verifier._scan_block(task)[:4] for task in tasks]
-    assert results[1][0] == [(6, 30)] and results[2][0] == [(9, 12)]
+    assert [r[:2] for r in results] == [verifier._scan_block(task)[:2] for task in tasks]
+    # (9, 12) lies in the closed-form half, which verify_exact reports
+    assert results[1][0] == [(6, 30)] and results[2][0] == []
 
 
 class BlockFailed(Exception):
