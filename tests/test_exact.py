@@ -349,12 +349,12 @@ def test_square_kernel_matches_general_product():
         (exact.core_inner_factor(9, 5), 9, 150),  # shorter than limit // t + 1
         (exact.core_inner_factor(200, 0), 200, 150),  # t > limit
         (exact.core_inner_factor(200, 3), 200, 150),  # longer than needed
-        (exact.core_inner_factor(31, 150 // 31 + 5), 31, 150),  # ditto
         (exact.core_inner_factor(5, 0), 5, 0),  # limit = 0
         ([0, 3, 0, 0, -2, 0, 7], 6, 150),  # zeros, including inner[0]
         ([], 3, 20),
         ([0, 0, 5, -1], 4, 60),  # first nonzero row at j = 2
         ([0, 0, 0], 5, 40),  # all zero
+        (exact.core_inner_factor(31, 150 // 31 + 5), 31, 150),  # longer than needed
     ],
 )
 def test_series_kernel_matches_references(inner, t, limit):
