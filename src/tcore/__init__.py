@@ -41,7 +41,6 @@ _EXPORTS = {
         "eta_log_deriv_prime",
         "eta_quotient_log",
         "expansion_polynomials",
-        "quotient_step_log",
         "sigma",
     ),
     "saddle": (
@@ -65,6 +64,7 @@ _EXPORTS = {
         "log_interval",
         "select_regime",
     ),
+    "selftest": ("quotient_step_log",),
 }
 
 # A name maps to its module's entry in sys.modules.  It is looked up on every

@@ -15,8 +15,7 @@ main terms overflow doubles long before the scales of interest.
 import math
 from typing import NamedTuple, Optional
 
-from .modular import eta_log
-from .saddle import SaddleResult, kappa_constants, shifted_index, solve_saddle
+from .saddle import SaddleResult, _d, kappa_constants, shifted_index, solve_saddle
 
 # Largest n the exact regime accepts: it grows the exact p-series to n, a
 # pure-Python bignum job of several seconds at this size that grows
@@ -97,8 +96,10 @@ def estimate_main(t: int, n: int) -> CertifiedEstimate:
     |drift| < 2/25 (automatic at the solved saddle, where the residual
     vanishes).  The pad covers the terms that cancel in log_value: the
     exponent 2 pi M y and the two halves of the eta quotient, whose parts
-    of size pi/(12 y) cancel.  Where the curvature rounds to <= 0
-    (n vast against t) log_value is nan and nothing is certified.
+    of size pi/(12 y) cancel.  Each half is read from D_0 on the axis, as
+    log eta(iy) = -(2 pi/y) D_0(iy), so t log eta(ity) = -(2 pi/y) D_0(ity).
+    Where the curvature rounds to <= 0 (n vast against t) log_value is nan
+    and nothing is certified.
     """
     res = solve_saddle(t, n)
     y = res.y
@@ -110,8 +111,8 @@ def estimate_main(t: int, n: int) -> CertifiedEstimate:
         )
     log_y = 1.5 * math.log(y)
     exponent = 2.0 * math.pi * res.shifted_index * y
-    eta_t = t * eta_log(complex(0.0, t * y)).real
-    eta_1 = eta_log(complex(0.0, y)).real
+    eta_t = -(2.0 * math.pi / y) * _d(0, t * y)
+    eta_1 = -(2.0 * math.pi / y) * _d(0, y)
     log_d2 = 0.5 * math.log(d2_diff)
     log_value = log_y + exponent + (eta_t - eta_1) - log_d2
     rel = 3.5 * y / d2_diff + _pad(log_y, exponent, eta_t, eta_1, log_d2)

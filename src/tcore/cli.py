@@ -83,17 +83,8 @@ def _cmd_saddle(opts) -> int:
     from .saddle import solve_saddle
 
     started = time.monotonic()
-    res = solve_saddle(opts.t, opts.n)
-    result = {
-        "y": res.y,
-        "bracket_lo": res.bracket_lo,
-        "bracket_hi": res.bracket_hi,
-        "residual": res.residual,
-        "curvature": res.curvature,
-        "drift": res.drift,
-        "shifted_index": res.shifted_index,
-        "iterations": res.iterations,
-    }
+    result = solve_saddle(opts.t, opts.n)._asdict()
+    del result["t"], result["n"]  # in args
     _emit("saddle", {"t": opts.t, "n": opts.n}, result, {}, started)
     return EXIT_OK
 
@@ -130,17 +121,11 @@ def _cmd_verify_stanton(opts) -> int:
         report = verify_exact(
             opts.max_n, max_t=opts.max_t, workers=opts.threads, _corrupt=opts.inject_fault
         )
+        result = report.to_dict()
         if fh is not None:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(result, fh, indent=2)
             fh.write("\n")
-    result = {
-        "violations": [list(v) for v in report.violations],
-        "equalities": [list(e) for e in report.equalities],
-        "pairs_checked": report.pairs_checked,
-        "closed_form_pairs": report.closed_form_pairs,
-        "elapsed_s": report.elapsed_s,
-        "workers": report.workers,
-    }
+    del result["max_n"], result["max_t"], result["blocks"]  # in args, and in --report
     flags = {"ok": report.ok}
     _emit(
         "verify-stanton",

@@ -93,21 +93,6 @@ def eta_quotient_log(z: complex, t: int) -> complex:
     return t * eta_log(t * z) - eta_log(z)
 
 
-def quotient_step_log(z: complex, t: int) -> complex:
-    """log of e(-(2t+1)z/24) * [quotient at t+1] / [quotient at t].
-
-    Collapses to (t+1) log eta((t+1)z) - t log eta(tz) - 2 pi i (2t+1) z / 24,
-    the quantity whose smallness lets adjacent-t counts be compared.
-    """
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    return (
-        (t + 1) * eta_log((t + 1) * z)
-        - t * eta_log(t * z)
-        - 2j * math.pi * (2 * t + 1) * z / 24.0
-    )
-
-
 # --- polynomial tables for the inverted expansions ---------------------------
 
 class PolynomialTable(NamedTuple):

@@ -30,7 +30,8 @@ class SolverError(RuntimeError):
 
 
 def _d(k: int, y: float) -> float:
-    """D_k on the imaginary axis (real-valued there)."""
+    """D_k on the imaginary axis (real-valued there); D_0 also gives
+    log eta(iy) = -(2 pi/y) D_0(iy), which estimate_main reads."""
     return eta_log_deriv(k, complex(0.0, y)).real
 
 

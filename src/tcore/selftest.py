@@ -6,8 +6,9 @@ Gaussian-integral bounds, the adjacent-t step bounds) at fixed numeric
 instantiations.  'quick' runs everything that finishes in seconds; 'full'
 adds the exact-count interval containments, which cost minutes.
 
-The Gaussian and arc integrals the checks evaluate, and the adaptive
-Gauss-Kronrod quadrature behind them, live here: no query needs them.
+The Gaussian and arc integrals the checks evaluate, the adaptive
+Gauss-Kronrod quadrature behind them and the adjacent-t eta step
+quotient_step_log live here: no query needs them.
 """
 
 import cmath
@@ -23,7 +24,6 @@ from .modular import (
     eta_log_deriv_prime,
     eta_quotient_log,
     expansion_polynomials,
-    quotient_step_log,
 )
 from .saddle import (
     kappa_constants,
@@ -370,6 +370,21 @@ def check_gaussian_sweep() -> CheckResult:
                     if not res.bounds_ok:
                         ok = False
     return CheckResult("gaussian-integral-sweep", ok, f"{count} instantiations checked")
+
+
+def quotient_step_log(z: complex, t: int) -> complex:
+    """log of e(-(2t+1)z/24) * [quotient at t+1] / [quotient at t].
+
+    Collapses to (t+1) log eta((t+1)z) - t log eta(tz) - 2 pi i (2t+1) z / 24,
+    the quantity whose smallness lets adjacent-t counts be compared.
+    """
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    return (
+        (t + 1) * eta_log((t + 1) * z)
+        - t * eta_log(t * z)
+        - 2j * math.pi * (2 * t + 1) * z / 24.0
+    )
 
 
 def check_step_log_bounds() -> CheckResult:

@@ -571,8 +571,8 @@ def test_first_access_from_many_threads():
 def test_lazy_names_resolve_to_their_submodules():
     code = (
         "import tcore\n"
-        "from tcore import asymptotics, certify, exact, modular, saddle, verifier\n"
-        "owners = (asymptotics, certify, exact, modular, saddle, verifier, tcore.backend)\n"
+        "from tcore import asymptotics, certify, exact, modular, saddle, selftest, verifier\n"
+        "owners = (asymptotics, certify, exact, modular, saddle, selftest, verifier, tcore.backend)\n"
         "listed = dir(tcore)\n"
         "for name in tcore.__all__:\n"
         "    assert name in listed, name\n"

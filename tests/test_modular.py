@@ -15,9 +15,9 @@ from tcore.modular import (
     eta_log_deriv_prime,
     eta_quotient_log,
     expansion_polynomials,
-    quotient_step_log,
     sigma,
 )
+from tcore.selftest import quotient_step_log
 
 PI = math.pi
 
@@ -166,14 +166,23 @@ def test_quotient_reproduces_series():
     assert abs(lhs - rhs) < 1e-8
 
 
-def test_quotient_d0_identity():
-    # log quotient(iy) = (2 pi / y)(D_0(iy) - D_0(ity))
-    t, y = 100, 0.01
+# (t, y) with y and t y from 1e-4 to 30, on both sides of Y_FLOOR = 0.02 and
+# of y = 1, where eta_log and D_0 switch their evaluations
+@pytest.mark.parametrize(
+    "t, y",
+    [(100, 0.01), (2, 1e-4), (3, 0.0199), (5, 0.0201), (40, 0.02), (7, 0.5),
+     (2, 1.0), (10, 3.0), (2, 15.0)],
+)
+def test_quotient_d0_identity(t, y):
+    # log eta(iy) = -(2 pi / y) D_0(iy), so t log eta(ity) = -(2 pi / y) D_0(ity),
+    # and log quotient(iy) = (2 pi / y)(D_0(iy) - D_0(ity))
+    d0_t = eta_log_deriv(0, complex(0.0, t * y)).real
+    d0_1 = eta_log_deriv(0, complex(0.0, y)).real
+    for half, d0 in ((t * eta_log(complex(0.0, t * y)).real, d0_t),
+                     (eta_log(complex(0.0, y)).real, d0_1)):
+        assert abs(half + (2.0 * PI / y) * d0) <= 1e-13 * abs(half)
     lhs = eta_quotient_log(complex(0.0, y), t).real
-    rhs = (2.0 * PI / y) * (
-        eta_log_deriv(0, complex(0.0, y)).real
-        - eta_log_deriv(0, complex(0.0, t * y)).real
-    )
+    rhs = (2.0 * PI / y) * (d0_1 - d0_t)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
